@@ -11,14 +11,12 @@ Boundary matrices are stored as sparse columns ({row: coeff} dicts);
 """
 
 from .budget import DimensionBudgetError
-from .cubes import cube_degree, enumerate_singular_cubes, face, iter_faces
+from .cubes import cube_degree, enumerate_singular_cubes, face_getters
 from .zlinalg import (
     IntMatrix,
     subquotient_homology,
     subquotient_presentation,
 )
-
-MINUS, PLUS = 0, 1
 
 
 class BasedComplex:
@@ -65,16 +63,15 @@ class BasedComplex:
 
 def _boundary_column(corners, n, index_below):
     col = {}
-    for i in range(1, n + 1):
-        s = -1 if i % 2 else 1
-        for side, sgn in ((MINUS, s), (PLUS, -s)):
-            j = index_below.get(face(corners, i, side))
-            if j is not None:
-                w = col.get(j, 0) + sgn
-                if w:
-                    col[j] = w
-                else:
-                    del col[j]
+    for t, get in enumerate(face_getters(n)):
+        j = index_below.get(get(corners))
+        if j is not None:
+            # face (i, side) sits in slot t = 2(i-1) + side; sign (-1)^(i+side)
+            w = col.get(j, 0) + (-1 if t & 1 == (t >> 1) & 1 else 1)
+            if w:
+                col[j] = w
+            else:
+                del col[j]
     return col
 
 

@@ -34,7 +34,6 @@ from .monophobic import check_graph
 from .spectral import (
     e1_page,
     einfinity_report,
-    h2_exact_sequence,
     injective_homology,
     page_to_json,
 )
@@ -45,10 +44,6 @@ def _group_doc(g, n=None):
     if n is not None:
         doc["n"] = n
     return doc
-
-
-def _group_str(g):
-    return str(g)
 
 
 def _load_graph(args):

@@ -8,9 +8,17 @@ when structure matters.
 
 Coordinates are 1-based in the public face/automorphism operations,
 matching the usual f_i^-/f_i^+ notation.
+
+Faces are read through per-dimension tables: `face_getters(n)` holds one
+precomputed corner-index getter per face of an n-cube, built once per n,
+and `face`, `iter_faces`, `is_degenerate` and the boundary and witness
+loops elsewhere all index it instead of redoing the bit arithmetic.
 """
 
+import os
+from functools import lru_cache
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .budget import checkpoint
 
@@ -46,34 +54,46 @@ def is_graph_map(g, corners):
     return True
 
 
+@lru_cache(maxsize=None)
+def face_getters(n):
+    """One getter per face of an n-cube, in (i, side) order 1-, 1+, 2-, ...
+
+    Slot 2(i-1) + side maps a corner tuple to that face's corner tuple.
+    """
+    getters = []
+    for i in range(1, n + 1):
+        low = (1 << (i - 1)) - 1
+        for side in (MINUS, PLUS):
+            bit = side << (i - 1)
+            idx = [(c & low) | bit | ((c >> (i - 1)) << i)
+                   for c in range(1 << (n - 1))]
+            if len(idx) == 1:
+                # a bare itemgetter would return the corner, not a 1-tuple
+                getters.append(lambda corners, k=idx[0]: (corners[k],))
+            else:
+                getters.append(itemgetter(*idx))
+    return tuple(getters)
+
+
 def face(corners, i, side):
     """Front (side=MINUS) or back (side=PLUS) i-face, 1 <= i <= n."""
     n = cube_dim(corners)
     if not 1 <= i <= n:
         raise ValueError(f"face index {i} out of range 1..{n}")
-    low = (1 << (i - 1)) - 1
-    bit = side << (i - 1)
-    return tuple(corners[(c & low) | bit | ((c >> (i - 1)) << i)]
-                 for c in range(1 << (n - 1)))
+    return face_getters(n)[2 * (i - 1) + side](corners)
 
 
 def iter_faces(corners):
     """All 2n faces as (i, side, face_corners)."""
-    n = cube_dim(corners)
-    for i in range(1, n + 1):
-        yield i, MINUS, face(corners, i, MINUS)
-        yield i, PLUS, face(corners, i, PLUS)
+    for t, get in enumerate(face_getters(cube_dim(corners))):
+        yield (t >> 1) + 1, t & 1, get(corners)
 
 
 def is_degenerate(corners):
     """True iff the front and back i-faces coincide for some i."""
-    n = cube_dim(corners)
-    for i in range(n):
-        bit = 1 << i
-        if all(corners[b] == corners[b | bit]
-               for b in range(len(corners)) if not b & bit):
-            return True
-    return False
+    getters = face_getters(cube_dim(corners))
+    return any(getters[t](corners) == getters[t + 1](corners)
+               for t in range(0, len(getters), 2))
 
 
 def is_injective(corners):
@@ -378,13 +398,18 @@ def enumerate_singular_cubes(g, n, filt="all", threads=1):
         return list(singular_cubes(g, n, filt))
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(threads, g.n)) as pool:
+    with ProcessPoolExecutor(max_workers=_worker_count(threads, g.n)) as pool:
         chunks = pool.map(_enumerate_chunk,
                           [(g, n, filt, v) for v in range(g.n)])
         out = []
         for chunk in chunks:
             out.extend(chunk)
         return out
+
+
+def _worker_count(threads, n_vertices):
+    """Pool size: at most one worker per corner-0 slice and per CPU."""
+    return min(threads, n_vertices, os.cpu_count() or 1)
 
 
 def _enumerate_chunk(args):

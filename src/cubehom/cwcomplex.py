@@ -13,10 +13,8 @@ with the degree-filtration world.
 from .budget import DimensionBudgetError
 from .chains import normalized_complex
 from .cubes import (
-    MINUS,
-    PLUS,
     cube_subgraphs,
-    face,
+    face_getters,
     image_subgraph,
     relating_automorphism,
 )
@@ -91,22 +89,22 @@ def build_cw_complex(g, max_dim, threads=1):
         cols = []
         for q in cells[n]:
             col = {}
-            for i in range(1, n + 1):
-                s = -1 if i % 2 else 1
-                for side, sgn in ((MINUS, s), (PLUS, -s)):
-                    f = face(q.rep, i, side)
-                    verts, edges = image_subgraph(f)
-                    pos = below[edges if n > 1 else verts]
-                    rep = cells[n - 1][pos].rep
-                    if n == 1:
-                        eps = 1  # 0-cells have a unique parametrization
-                    else:
-                        _, eps = relating_automorphism(rep, f)
-                    w = col.get(pos, 0) + sgn * eps
-                    if w:
-                        col[pos] = w
-                    else:
-                        del col[pos]
+            for t, get in enumerate(face_getters(n)):
+                f = get(q.rep)
+                verts, edges = image_subgraph(f)
+                pos = below[edges if n > 1 else verts]
+                rep = cells[n - 1][pos].rep
+                if n == 1:
+                    eps = 1  # 0-cells have a unique parametrization
+                else:
+                    _, eps = relating_automorphism(rep, f)
+                # face (i, side) sits in slot t = 2(i-1) + side
+                sgn = -1 if t & 1 == (t >> 1) & 1 else 1
+                w = col.get(pos, 0) + sgn * eps
+                if w:
+                    col[pos] = w
+                else:
+                    del col[pos]
             cols.append(col)
         columns.append(cols)
     return CwCubeComplex(g, max_dim, cells, columns)

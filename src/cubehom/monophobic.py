@@ -14,11 +14,11 @@ supported faces is symmetry-invariant.
 
 from .budget import checkpoint
 from .cubes import (
+    cube_dim,
     cube_subgraphs,
+    face_getters,
     image_subgraph,
-    is_degenerate,
     is_injective,
-    iter_faces,
 )
 
 
@@ -59,13 +59,24 @@ def is_rigid(g, q):
 
 
 def supported_face_count(tau, q):
-    """Number of faces of tau whose image subgraph equals q exactly."""
-    n1 = (len(tau) - 1).bit_length()
+    """Number of faces of tau whose image subgraph equals q exactly.
+
+    A face can only be supported by q when it hits exactly q's vertices,
+    so the vertex set is compared first and the edge set is built only
+    for the faces that pass.
+    """
+    n1 = cube_dim(tau)
     if n1 != q.dim + 1:
         raise ValueError(
             f"witness dimension {n1} does not match cube dimension {q.dim}")
+    verts = set(q.vertices)
     target = (q.vertices, q.edges)
-    return sum(1 for _, _, f in iter_faces(tau) if image_subgraph(f) == target)
+    count = 0
+    for get in face_getters(n1):
+        f = get(tau)
+        if set(f) == verts and image_subgraph(f) == target:
+            count += 1
+    return count
 
 
 def _candidate_witnesses(g, rep, mode):

@@ -18,7 +18,7 @@ from .chains import (
     homology,
     homology_presentation,
 )
-from .cubes import cube_degree, singular_cubes
+from .cubes import _worker_count, cube_degree, singular_cubes
 from .zlinalg import (
     AbelianGroup,
     ContractViolation,
@@ -469,7 +469,8 @@ def quotient_homology(g, k, n, threads=1, early_stop=True):
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(threads, g.n)) as pool:
+        with ProcessPoolExecutor(
+                max_workers=_worker_count(threads, g.n)) as pool:
             jobs = [(g, k, n, here, v) for v in range(g.n)]
             for chunk in pool.map(_stream_chunk, jobs):
                 for col in chunk:

@@ -46,14 +46,6 @@ class IntMatrix:
     def from_rows(cls, rows, cols):
         return cls(len(rows), cols, [list(r) for r in rows])
 
-    def copy(self):
-        return IntMatrix(self.rows, self.cols, [row[:] for row in self.data])
-
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
     def column(self, j):
         return [row[j] for row in self.data]
 

@@ -1,11 +1,15 @@
+import hashlib
+import os
 import random
 
 import pytest
 
+from cubehom.chains import dump_complex, normalized_complex
 from cubehom.cubes import (
     MINUS,
     PLUS,
     CubeAutomorphism,
+    _worker_count,
     all_automorphisms,
     apply_automorphism,
     cube_degree,
@@ -14,10 +18,12 @@ from cubehom.cubes import (
     cubical_dimension,
     enumerate_singular_cubes,
     face,
+    face_getters,
     image_subgraph,
     is_degenerate,
     is_graph_map,
     is_injective,
+    iter_faces,
     relating_automorphism,
     singular_cubes,
 )
@@ -54,6 +60,49 @@ def test_face_of_edge_is_endpoint():
 def test_face_out_of_range():
     with pytest.raises(ValueError):
         face((0, 1), 2, MINUS)
+
+
+def test_face_table_matches_index_formula():
+    for n in range(7):
+        corners = tuple(range(100, 100 + (1 << n)))
+        assert len(face_getters(n)) == 2 * n
+        for i in range(1, n + 1):
+            low = (1 << (i - 1)) - 1
+            for side in (MINUS, PLUS):
+                bit = side << (i - 1)
+                want = tuple(corners[(c & low) | bit | ((c >> (i - 1)) << i)]
+                             for c in range(1 << (n - 1)))
+                assert face(corners, i, side) == want
+                assert face_getters(n)[2 * (i - 1) + side](corners) == want
+        assert [(i, side) for i, side, _ in iter_faces(corners)] == \
+            [(i, side) for i in range(1, n + 1) for side in (MINUS, PLUS)]
+
+
+def test_faces_of_one_cube_are_one_tuples():
+    for corners in ((3, 5), [3, 5]):
+        assert [f for _, _, f in iter_faces(corners)] == [(3,), (5,)]
+        assert face(corners, 1, MINUS) == (3,)
+
+
+# sha256 of dump_complex(normalized_complex(g, 3)), frozen from the
+# per-call face arithmetic the face tables replaced: basis order, degrees
+# and every boundary sign must stay byte-identical
+COMPLEX_DUMP_SHA256 = {
+    "greene-sphere(4)":
+        "193fcc7b69f3621795b62d96fa8ca2a4864e7161c62e2b2ce3a59256063a9115",
+    "K_{2,3}":
+        "b4ca4ce2fae04aba311fa05b9318bb29b0bdfb9a0cc510da4edd51bc65e6d6ad",
+}
+
+
+@pytest.mark.parametrize("name,graph", [
+    ("greene-sphere(4)", lambda: greene_sphere(4)),
+    ("K_{2,3}", lambda: complete_bipartite_graph(2, 3)),
+])
+def test_complex_dump_frozen(name, graph):
+    text = dump_complex(normalized_complex(graph(), 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        COMPLEX_DUMP_SHA256[name]
 
 
 def test_k23_witness_is_graph_map():
@@ -241,6 +290,19 @@ def test_degree_filter():
     deg2 = [c for c in enumerate_singular_cubes(g, 2, ("degree", 2))]
     assert set(inj) == set(deg2)  # at top dimension, degree n means injective
     assert len(inj) == 64  # 8 squares, 8 parametrizations each
+
+
+def test_worker_count_caps():
+    cpus = os.cpu_count() or 1
+    assert _worker_count(2, 10) == min(2, cpus)
+    assert _worker_count(8, 3) == min(3, cpus)
+    assert _worker_count(10 ** 9, 10 ** 9) == cpus
+    assert _worker_count(10 ** 9, 5) == min(5, cpus)
+
+
+def test_worker_count_unknown_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(10 ** 9, 10 ** 9) == 1
 
 
 def test_parallel_enumeration_identical():

@@ -1,6 +1,14 @@
 import pytest
 
-from cubehom.cubes import cube_subgraphs, is_injective
+from cubehom.cubes import (
+    MINUS,
+    cube_subgraphs,
+    face,
+    image_subgraph,
+    is_injective,
+    iter_faces,
+    singular_cubes,
+)
 from cubehom.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -56,6 +64,39 @@ def test_supported_face_count_degenerate_doubling():
     # prism with both 1-faces equal to the parametrization of q
     tau = tuple(rep[c] for c in range(4) for _ in (0, 1))
     assert supported_face_count(tau, q) == 2
+
+
+def _reference_face_count(tau, q):
+    target = (q.vertices, q.edges)
+    return sum(image_subgraph(f) == target for _, _, f in iter_faces(tau))
+
+
+def test_prefilter_keeps_same_vertex_set_faces_apart():
+    g = k4()
+    q = next(q for q in cube_subgraphs(g, 2) if q.rep == (0, 1, 3, 2))
+    assert not is_rigid(g, q)
+    other = image_subgraph((0, 2, 1, 3))
+    assert other[0] == q.vertices and other[1] != q.edges
+    # front 1-face is q's parametrization, back 1-face is (0,2,1,3)
+    tau = (0, 0, 1, 2, 3, 1, 2, 3)
+    assert face(tau, 1, MINUS) == q.rep
+    assert face(tau, 1, 1) == (0, 2, 1, 3)
+    assert supported_face_count(tau, q) == 1 == _reference_face_count(tau, q)
+
+
+@pytest.mark.parametrize("graph", [k4, lambda: complete_bipartite_graph(2, 3)])
+def test_supported_face_count_matches_reference(graph):
+    g = graph()
+    squares = cube_subgraphs(g, 2)
+    checked = 0
+    for tau in singular_cubes(g, 3):
+        front = face(tau, 1, MINUS)
+        for q in squares:
+            if front == q.rep:
+                assert supported_face_count(tau, q) == \
+                    _reference_face_count(tau, q)
+                checked += 1
+    assert checked > 0
 
 
 def test_supported_face_count_dimension_check():
