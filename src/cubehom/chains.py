@@ -6,17 +6,13 @@ realizes the quotient by the degenerate subcomplex.  Each basis cube
 carries its degree (largest injective iterated-face dimension), so the
 filtration subcomplexes and their quotients are basis restrictions.
 
-Boundary matrices are stored as sparse columns ({row: coeff} dicts);
-`boundary_matrix` densifies on demand.
+Boundary matrices are stored as sparse columns ({row: coeff} dicts) and
+handed to `zlinalg` as they are; nothing here densifies them.
 """
 
 from .budget import DimensionBudgetError
 from .cubes import cube_degree, enumerate_singular_cubes, face_getters
-from .zlinalg import (
-    IntMatrix,
-    subquotient_homology,
-    subquotient_presentation,
-)
+from .zlinalg import subquotient_homology, subquotient_presentation
 
 
 class BasedComplex:
@@ -42,19 +38,6 @@ class BasedComplex:
         if 0 <= n <= self.max_dim:
             return len(self.basis[n])
         return 0
-
-    def boundary_columns(self, n):
-        """Sparse columns of the boundary C_n -> C_{n-1}."""
-        if not 1 <= n <= self.max_dim:
-            raise DimensionBudgetError(n, self.max_dim)
-        return self.columns[n]
-
-    def boundary_matrix(self, n):
-        m = IntMatrix(self.dim(n - 1), self.dim(n))
-        for j, col in enumerate(self.boundary_columns(n)):
-            for i, v in col.items():
-                m.data[i][j] = v
-        return m
 
     def require(self, n, what="operation"):
         if n > self.max_dim:

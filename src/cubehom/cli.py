@@ -8,7 +8,9 @@ so generator output pipes straight into the analysis commands:
 Results print as an aligned table or as JSON with a stable schema;
 identical inputs and budgets produce byte-identical JSON.  Exit status is
 0 on success, 2 when a dimension or time budget stopped the computation,
-and 1 on bad input.
+1 on bad input, and 3 when an internal identity that must hold
+mathematically failed (a `ContractViolation`, which is a bug: the JSON
+document then has status "error" and names the identity).
 """
 
 import argparse
@@ -37,6 +39,7 @@ from .spectral import (
     injective_homology,
     page_to_json,
 )
+from .zlinalg import ContractViolation
 
 
 def _group_doc(g, n=None):
@@ -159,11 +162,7 @@ def cmd_injective_homology(args):
     results = {}
     lines = []
     try:
-        # the slice above only needs its relations (dimension n+2 data)
-        # when injective (n+1)-cubes exist at all
         c = normalized_complex(g, args.dim + 1, args.threads)
-        if any(d == args.dim + 1 for d in c.degrees[args.dim + 1]):
-            c = normalized_complex(g, args.dim + 2, args.threads)
         h = injective_homology(c, args.dim)
         results = {"n": args.dim, "rank": h.free_rank,
                    "torsion": list(h.torsion)}
@@ -450,6 +449,11 @@ def main(argv=None):
     except (EdgeListError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ContractViolation as e:
+        print(f"error: internal identity failed: {e}", file=sys.stderr)
+        if getattr(args, "format", None) == "json":
+            _emit(args, args.command, None, {"violated": str(e)}, "error", [])
+        return 3
     finally:
         clear_time_budget()
 

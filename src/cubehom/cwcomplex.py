@@ -11,7 +11,7 @@ with the degree-filtration world.
 """
 
 from .budget import DimensionBudgetError
-from .chains import normalized_complex
+from .chains import _in_out, normalized_complex
 from .cubes import (
     cube_subgraphs,
     face_getters,
@@ -22,11 +22,13 @@ from .monophobic import is_quasimonophobic
 from .zlinalg import (
     AbelianGroup,
     ContractViolation,
-    Echelon,
     GroupMap,
-    IntMatrix,
+    axpy,
     dense_to_sparse,
+    echelon_from_rows,
     image_lattice,
+    is_surjective,
+    kernel_echelon,
     lattice_preimage,
     subquotient_homology,
 )
@@ -59,14 +61,6 @@ class CwCubeComplex:
     def require(self, n, what="operation"):
         if n > self.max_dim:
             raise DimensionBudgetError(n, self.max_dim, what)
-
-    def boundary_matrix(self, n):
-        self.require(n)
-        m = IntMatrix(self.dim(n - 1), self.dim(n))
-        for j, col in enumerate(self.columns[n]):
-            for i, v in col.items():
-                m.data[i][j] = v
-        return m
 
 
 def build_cw_complex(g, max_dim, threads=1):
@@ -135,26 +129,23 @@ def cw_homology(c, n):
     """Cellular homology in degree n; needs cells through n+1."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    c.require(n + 1, f"cellular homology in degree {n}")
-    d_in = (c.columns[n + 1], c.dim(n), c.dim(n + 1))
-    if n >= 1:
-        d_out = (c.columns[n], c.dim(n - 1), c.dim(n))
-    else:
-        d_out = ([{} for _ in range(c.dim(0))], 0, c.dim(0))
-    return subquotient_homology(d_in, d_out)
+    return subquotient_homology(*_in_out(c, n))
 
 
 def cycle_space(c, n):
     """Echelon basis of cellular n-cycles."""
-    from .zlinalg import kernel_echelon
-
     c.require(n)
     if n == 0:
-        ker = Echelon(c.dim(0))
-        for j in range(c.dim(0)):
-            ker.add({j: 1})
-        return ker
+        return echelon_from_rows(({j: 1} for j in range(c.dim(0))), c.dim(0))
     return kernel_echelon(c.columns[n], c.dim(n - 1), c.dim(n))
+
+
+def _rep_columns(cells, basis):
+    """Send each cell to the generator of its canonical representative in
+    the injective-cube `basis` of a slice group, or to 0 when the
+    representative is not in it."""
+    index = {cube: i for i, cube in enumerate(basis)}
+    return [{index[q.rep]: 1} if q.rep in index else {} for q in cells]
 
 
 class ComparisonMap:
@@ -179,10 +170,6 @@ class ComparisonMap:
         self.kernel_rank = kernel.rank
         self.kernel_basis = kernel
 
-    @property
-    def kernel_group(self):
-        return AbelianGroup.free(self.kernel_rank)
-
 
 def cell_to_degree_class(g, n, chain_complex=None, cw=None, threads=1):
     """Send each n-cell to the class of its canonical representative in
@@ -202,16 +189,11 @@ def cell_to_degree_class(g, n, chain_complex=None, cw=None, threads=1):
     chain_complex.require(n + 1, "the slice group at the cell dimension")
     here = bottom_edge_group(chain_complex, n)
     group, basis = here
-    index = {cube: i for i, cube in enumerate(basis)}
-    cols = []
-    for q in cw.cells[n]:
-        cols.append({index[q.rep]: 1} if q.rep in index else {})
-    free_cells = AbelianGroup.free(cw.dim(n))
-    matrix = GroupMap(free_cells, group, cols, check=False)
+    cols = _rep_columns(cw.cells[n], basis)
+    matrix = GroupMap(AbelianGroup.free(cw.dim(n)), group, cols, check=False)
 
     # (a) surjectivity on presentations
-    lat = image_lattice(matrix)
-    surjective = lat.rank == group.ngens and lat.has_unit_pivots()
+    surjective = is_surjective(matrix)
 
     # (b) chain-map property against the slice differential and the
     # cellular boundary, as an exact identity on presentations
@@ -220,28 +202,11 @@ def cell_to_degree_class(g, n, chain_complex=None, cw=None, threads=1):
         below = bottom_edge_group(chain_complex, n - 1)
         d1 = edge_map(chain_complex, n, source=here, target=below)
         below_group, below_basis = below
-        below_index = {cube: i for i, cube in enumerate(below_basis)}
-        cell_cols_below = []
-        for q in cw.cells[n - 1]:
-            cell_cols_below.append(
-                {below_index[q.rep]: 1} if q.rep in below_index else {})
+        cell_cols_below = _rep_columns(cw.cells[n - 1], below_basis)
         for j in range(cw.dim(n)):
-            via_top = d1.apply(cols[j])
-            via_cell = {}
+            diff = d1.apply(cols[j])
             for i, v in cw.columns[n][j].items():
-                for ii, vv in cell_cols_below[i].items():
-                    w = via_cell.get(ii, 0) + v * vv
-                    if w:
-                        via_cell[ii] = w
-                    else:
-                        del via_cell[ii]
-            diff = dict(via_top)
-            for ii, vv in via_cell.items():
-                w = diff.get(ii, 0) - vv
-                if w:
-                    diff[ii] = w
-                else:
-                    diff.pop(ii, None)
+                axpy(diff, -v, cell_cols_below[i])
             if not below_group.relations.contains(diff):
                 chain_map_ok = False
                 break
@@ -271,7 +236,7 @@ def geometric_class_check(g, cycle, n, chain_complex=None, cw=None):
     n-quasimonophobicity the push-forward is still computed but the
     result flags that injectivity of the comparison is not guaranteed.
     """
-    from .spectral import bottom_edge_group
+    from .spectral import _injective_cover, bottom_edge_group
 
     if cw is None:
         cw = build_cw_complex(g, n + 1)
@@ -282,50 +247,23 @@ def geometric_class_check(g, cycle, n, chain_complex=None, cw=None):
     if n >= 1:
         bnd = {}
         for j, a in vec.items():
-            for i, v in cw.columns[n][j].items():
-                w = bnd.get(i, 0) + a * v
-                if w:
-                    bnd[i] = w
-                else:
-                    del bnd[i]
+            axpy(bnd, a, cw.columns[n][j])
         if bnd:
             raise ValueError("the given chain is not a cellular cycle")
 
     quasi = is_quasimonophobic(g, n)
 
     # nonzero in cellular homology: outside the boundary lattice
-    boundaries = Echelon(cw.dim(n))
-    for col in cw.columns[n + 1]:
-        boundaries.add(dict(col))
+    boundaries = echelon_from_rows(cw.columns[n + 1], cw.dim(n))
     cw_nonzero = not boundaries.contains(vec)
 
     # push to the slice group and test against boundaries-from-above plus
     # slice relations (the denominator of the injective homology at n)
     here = bottom_edge_group(chain_complex, n)
-    group, basis = here
-    index = {cube: i for i, cube in enumerate(basis)}
+    cols = _rep_columns(cw.cells[n], here[1])
     img = {}
     for j, a in vec.items():
-        rep = cw.cells[n][j].rep
-        pos = index.get(rep)
-        if pos is None:
-            continue
-        w = img.get(pos, 0) + a
-        if w:
-            img[pos] = w
-        else:
-            del img[pos]
-    # boundaries from the slice above only enter through their image, so a
-    # free cover of the injective (n+1)-cubes avoids dimension n+2 data
-    from .spectral import _edge_columns
-
-    basis_above = tuple(
-        cube for cube, d in zip(chain_complex.basis[n + 1],
-                                chain_complex.degrees[n + 1]) if d == n + 1)
-    cols_up = _edge_columns(chain_complex, n + 1, basis_above, index) \
-        if basis_above else []
-    up = GroupMap(AbelianGroup.free(len(basis_above)), group, cols_up,
-                  check=False)
-    denom = image_lattice(up)
+        axpy(img, a, cols[j])
+    denom = image_lattice(_injective_cover(chain_complex, n, here))
     inj_nonzero = not denom.contains(img)
     return GeometricClassResult(cw_nonzero, inj_nonzero, quasi)

@@ -14,6 +14,7 @@ two routes are cross-checked in the test suite.
 
 from .budget import checkpoint
 from .chains import (
+    _boundary_column,
     degree_quotient_complex,
     homology,
     homology_presentation,
@@ -24,12 +25,13 @@ from .zlinalg import (
     ContractViolation,
     Echelon,
     GroupMap,
+    axpy,
     dense_to_sparse,
     echelon_from_rows,
     homology_at,
-    invariant_factors,
-    IntMatrix,
-    quotient_group,
+    lattice_torsion,
+    quotient_in,
+    split_echelon,
 )
 
 
@@ -94,13 +96,7 @@ def _d1_map(c, p, n, source, target):
     for kvec in source.kernel.rows:
         bnd = {}
         for jq, a in kvec.items():
-            full_j = full_index[src_basis[jq]]
-            for i, v in c.columns[n][full_j].items():
-                w = bnd.get(i, 0) + a * v
-                if w:
-                    bnd[i] = w
-                else:
-                    del bnd[i]
+            axpy(bnd, a, c.columns[n][full_index[src_basis[jq]]])
         proj = {}
         for i, v in bnd.items():
             pos = tgt_index.get(c.basis[n - 1][i])
@@ -218,21 +214,38 @@ def edge_map(c, p, source=None, target=None):
     return GroupMap(src_group, tgt_group, cols)
 
 
+def _injective_cover(c, n, target):
+    """Map into the degree-n slice group `target` (a bottom_edge_group
+    pair) from the free group on the injective (n+1)-cubes, each sent to
+    its boundary.
+
+    The degree-(n+1) slice group enters a homology at n only through its
+    image, which this free cover shares, so its relations (dimension-(n+2)
+    data) are never needed.
+    """
+    c.require(n + 1, f"boundaries into the degree-{n} slice")
+    group, basis = target
+    above = tuple(cube for cube, d in zip(c.basis[n + 1], c.degrees[n + 1])
+                  if d == n + 1)
+    index = {cube: i for i, cube in enumerate(basis)}
+    return GroupMap(AbelianGroup.free(len(above)), group,
+                    _edge_columns(c, n + 1, above, index), check=False)
+
+
 def injective_homology(c, n):
     """Homology of the bottom edge at position n.
 
     Only injective cubes (plus one dimension of degree-exact relations)
     enter the computation, which is what makes this variant so much
-    cheaper than the full homology.
+    cheaper than the full homology.  The complex is needed only through
+    dimension n+1: the injective (n+1)-cubes enter through their
+    boundaries alone.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     here = bottom_edge_group(c, n)
-    above = bottom_edge_group(c, n + 1)
-    below = bottom_edge_group(c, n - 1) if n >= 1 else (AbelianGroup.trivial(), ())
-    f_in = edge_map(c, n + 1, source=above, target=here)
-    f_out = edge_map(c, n, source=here, target=below)
-    return homology_at(f_in, f_out)
+    f_out = edge_map(c, n, source=here, target=bottom_edge_group(c, n - 1))
+    return homology_at(_injective_cover(c, n, here), f_out)
 
 
 # ---------------------------------------------------------------------------
@@ -242,53 +255,31 @@ def injective_homology(c, n):
 def _filtered_cycles(c, n, p, depth):
     """Lattice Z = {x in F_p C_n : boundary(x) in F_{p-depth} C_{n-1}},
     echelonized over the full C_n coordinates."""
-    lat = Echelon(c.dim(n))
     if p < 0:
-        return lat
+        return Echelon(c.dim(n))
     if n == 0:
-        for j, d in enumerate(c.degrees[0]):
-            if d <= p:
-                lat.add({j: 1})
-        return lat
+        return echelon_from_rows(
+            ({j: 1} for j, d in enumerate(c.degrees[0]) if d <= p), c.dim(0))
     cut = p - depth
     degs = c.degrees[n - 1]
-    stacked = Echelon(c.dim(n - 1) + c.dim(n))
-    shift = c.dim(n - 1)
-    for j, d in enumerate(c.degrees[n]):
-        if d > p:
-            continue
-        vec = {i: v for i, v in c.columns[n][j].items() if degs[i] > cut}
-        vec[shift + j] = 1
-        stacked.add(vec)
-        checkpoint()
-    for row, piv in zip(stacked.rows, stacked.pivots):
-        if piv >= shift:
-            lat.add({k - shift: v for k, v in row.items()})
+    _, lat = split_echelon(
+        (({i: v for i, v in c.columns[n][j].items() if degs[i] > cut}, {j: 1})
+         for j, d in enumerate(c.degrees[n]) if d <= p),
+        c.dim(n - 1), c.dim(n))
     return lat
 
 
 def _boundary_image(c, n, p, depth):
     """Lattice {boundary(x) : x in F_p C_{n+1}, boundary(x) in F_{p-depth}},
     echelonized over C_n coordinates."""
-    lat = Echelon(c.dim(n))
     if p < 0 or n + 1 > c.max_dim:
-        return lat
+        return Echelon(c.dim(n))
     cut = p - depth
     degs = c.degrees[n]
-    stacked = Echelon(2 * c.dim(n))
-    shift = c.dim(n)
-    for j, d in enumerate(c.degrees[n + 1]):
-        if d > p:
-            continue
-        col = c.columns[n + 1][j]
-        vec = {i: v for i, v in col.items() if degs[i] > cut}
-        for i, v in col.items():
-            vec[shift + i] = v
-        stacked.add(vec)
-        checkpoint()
-    for row, piv in zip(stacked.rows, stacked.pivots):
-        if piv >= shift:
-            lat.add({k - shift: v for k, v in row.items()})
+    _, lat = split_echelon(
+        (({i: v for i, v in col.items() if degs[i] > cut}, col)
+         for col, d in zip(c.columns[n + 1], c.degrees[n + 1]) if d <= p),
+        c.dim(n), c.dim(n))
     return lat
 
 
@@ -306,15 +297,8 @@ def er_term(c, r, p, q):
     z_top = _filtered_cycles(c, n, p, r)
     sub = _filtered_cycles(c, n, p - 1, r - 1)
     bnd = _boundary_image(c, n, p + r - 1, r - 1)
-    rels = []
-    for lat in (sub, bnd):
-        for row in lat.rows:
-            coeffs = z_top.express(row)
-            if coeffs is None:
-                raise ContractViolation(
-                    "denominator lattice escapes the relative cycles")
-            rels.append(dense_to_sparse(coeffs))
-    return quotient_group(z_top.rank, echelon_from_rows(rels, z_top.rank))
+    return quotient_in(z_top, sub.rows + bnd.rows,
+                       "denominator lattice escapes the relative cycles")[0]
 
 
 def einfinity_report(c, n):
@@ -328,38 +312,21 @@ def einfinity_report(c, n):
     if n < 0:
         raise ValueError("degree must be non-negative")
     c.require(n + 1, f"limit page at total degree {n}")
-    boundaries = Echelon(c.dim(n))
-    if n + 1 <= c.max_dim:
-        for col in c.columns[n + 1]:
-            boundaries.add(dict(col))
-    levels = []
-    for p in range(-1, n + 2):
-        if p < 0:
-            lat = Echelon(c.dim(n))
-            for row in boundaries.rows:
-                lat.add(dict(row))
-        elif p > n:
+    boundaries = echelon_from_rows(
+        c.columns[n + 1] if n + 1 <= c.max_dim else (), c.dim(n))
+    levels = [boundaries]
+    for p in range(0, n + 2):
+        if p > n:
             # F_p C_n = C_n once p >= n, so the lattice stabilizes
-            lat = levels[-1][1]
+            levels.append(levels[-1])
         else:
             # cycles on the nose inside F_p: cut the boundary below degree 0
             cycles = _filtered_cycles(c, n, p, p + 1)
-            lat = Echelon(c.dim(n))
-            for row in cycles.rows:
-                lat.add(dict(row))
-            for row in boundaries.rows:
-                lat.add(dict(row))
-        levels.append((p, lat))
-    graded = []
-    for (p_prev, prev), (p_cur, cur) in zip(levels, levels[1:]):
-        rels = []
-        for row in prev.rows:
-            coeffs = cur.express(row)
-            if coeffs is None:
-                raise ContractViolation("filtration levels are not nested")
-            rels.append(dense_to_sparse(coeffs))
-        graded.append(quotient_group(cur.rank,
-                                     echelon_from_rows(rels, cur.rank)))
+            levels.append(echelon_from_rows(cycles.rows + boundaries.rows,
+                                            c.dim(n)))
+    graded = [quotient_in(cur, prev.rows,
+                          "filtration levels are not nested")[0]
+              for prev, cur in zip(levels, levels[1:])]
     einf = [er_term(c, n + 2, p, n - p) for p in range(0, n + 2)]
     match = all(a.invariants() == b.invariants()
                 for a, b in zip(graded, einf))
@@ -381,17 +348,7 @@ def h2_exact_sequence(c):
     c.require(3, "the H_2 extension")
     left = er_term(c, 2, 1, 1)
     middle = homology(c, 2)
-    here = bottom_edge_group(c, 2)
-    below = bottom_edge_group(c, 1)
-    f_out = edge_map(c, 2, source=here, target=below)
-    # the dimension-3 injective cubes only matter through their boundary
-    # image, so a free cover stands in for the slice group above
-    basis3 = tuple(cube for cube, d in zip(c.basis[3], c.degrees[3]) if d == 3)
-    free3 = AbelianGroup.free(len(basis3))
-    idx2 = {cube: i for i, cube in enumerate(here[1])}
-    cols = _edge_columns(c, 3, basis3, idx2) if basis3 else []
-    f_in = GroupMap(free3, here[0], cols, check=False)
-    right = homology_at(f_in, f_out)
+    right = injective_homology(c, 2)
     rank_ok = middle.free_rank == left.free_rank + right.free_rank
     tor_ok = (left.torsion_order * right.torsion_order) % middle.torsion_order == 0
     return left, middle, right, rank_ok and tor_ok
@@ -406,17 +363,22 @@ def _slice_basis(g, k, n):
             if cube_degree(cube) == k]
 
 
+def _slice_columns(g, k, n, here_index, first_corner=None):
+    """Boundary columns, over the slice basis `here_index`, of the degree-k
+    nondegenerate (n+1)-cubes, optionally only those with corner 0 at
+    `first_corner`."""
+    for cube in singular_cubes(g, n + 1, "nondegenerate", first_corner):
+        if cube_degree(cube) == k:
+            yield _boundary_column(cube, n + 1, here_index)
+
+
 def _stream_chunk(args):
     """Worker: echelonize one corner-0 chunk of the boundary stream and
     ship only the reduced rows (the chunk's image lattice)."""
     g, k, n, here, first_corner = args
-    from .chains import _boundary_column
     here_index = {cube: i for i, cube in enumerate(here)}
-    ech = Echelon(len(here))
-    for cube in singular_cubes(g, n + 1, "nondegenerate", first_corner):
-        if cube_degree(cube) == k:
-            ech.add(_boundary_column(cube, n + 1, here_index))
-    return ech.rows
+    return echelon_from_rows(
+        _slice_columns(g, k, n, here_index, first_corner), len(here)).rows
 
 
 def quotient_homology(g, k, n, threads=1, early_stop=True):
@@ -436,8 +398,6 @@ def quotient_homology(g, k, n, threads=1, early_stop=True):
     """
     if n < 0 or k < 0:
         raise ValueError("degree and slice index must be non-negative")
-    from .chains import _boundary_column
-
     below = _slice_basis(g, k, n - 1) if n >= 1 else []
     below_index = {cube: i for i, cube in enumerate(below)}
     here = _slice_basis(g, k, n)
@@ -456,10 +416,8 @@ def quotient_homology(g, k, n, threads=1, early_stop=True):
 
     if threads <= 1:
         since_check = 0
-        for cube in singular_cubes(g, n + 1, "nondegenerate"):
-            if cube_degree(cube) != k:
-                continue
-            img.add(_boundary_column(cube, n + 1, here_index))
+        for col in _slice_columns(g, k, n, here_index):
+            img.add(col)
             checkpoint()
             since_check += 1
             if early_stop and since_check >= 256:
@@ -480,11 +438,5 @@ def quotient_homology(g, k, n, threads=1, early_stop=True):
                     pool.shutdown(wait=False, cancel_futures=True)
                     break
 
-    free = cycle_rank - img.rank
-    if img.has_unit_pivots():
-        torsion = ()
-    else:
-        facs = invariant_factors(
-            IntMatrix.from_rows(img.basis_rows(), len(here)))
-        torsion = tuple(f for f in facs if f != 1)
-    return AbelianGroup.from_invariants(free, torsion)
+    return AbelianGroup.from_invariants(cycle_rank - img.rank,
+                                        lattice_torsion(img))

@@ -10,6 +10,14 @@ Vectors over a fixed ambient Z^n appear in two shapes: dense lists of
 ints, and sparse {index: coeff} dicts (zero coefficients never stored).
 Lattices are held as `Echelon` objects: row bases sorted by strictly
 increasing pivot column.
+
+All sparse-vector and lattice arithmetic of the package lives in this
+module; the other modules call it rather than update, reduce or quotient
+vectors themselves.  The kernel is small: `axpy` updates a sparse vector,
+`Echelon.add` grows a lattice and `Echelon._walk` reduces against one,
+`split_echelon` splits a stacked lattice, `quotient_in` presents one
+lattice modulo a sublattice, and `lattice_torsion` reads the torsion of a
+quotient of Z^n.
 """
 
 from bisect import bisect_left
@@ -94,8 +102,20 @@ def _xgcd(a, b):
 
 
 # ---------------------------------------------------------------------------
-# sparse echelonized lattice bases
+# sparse vectors and echelonized lattice bases
 # ---------------------------------------------------------------------------
+
+def axpy(dst, a, src):
+    """dst += a * src on sparse vectors, in place; zero entries are
+    dropped.  Returns dst."""
+    for k, v in src.items():
+        w = dst.get(k, 0) + a * v
+        if w:
+            dst[k] = w
+        else:
+            dst.pop(k, None)
+    return dst
+
 
 class Echelon:
     """Basis of a sublattice of Z^ncols in row-echelon form.
@@ -132,13 +152,7 @@ class Echelon:
             row = rows[pos]
             a, b = row[j], vec[j]
             if b % a == 0:
-                q = b // a
-                for k, v in row.items():
-                    w = vec.get(k, 0) - q * v
-                    if w:
-                        vec[k] = w
-                    else:
-                        vec.pop(k, None)
+                axpy(vec, -(b // a), row)
             else:
                 g, x, y = _xgcd(a, b)
                 ag, bg = a // g, b // g
@@ -157,28 +171,31 @@ class Echelon:
                 rows[pos] = new_row
             checkpoint()
 
-    def reduce(self, vec):
-        """Reduce a sparse vector against the basis as far as divisibility
-        allows; the result is empty iff `vec` lies in the lattice."""
+    def _walk(self, vec, coeffs):
+        """Reduce a copy of `vec` down the basis while each leading entry
+        is a multiple of the pivot in its column, recording the multiples
+        in `coeffs` (a list indexed like the rows) unless it is None.
+        Returns the remainder, which is empty iff `vec` is in the lattice."""
         vec = dict(vec)
-        pivots = self.pivots
+        rows, pivots = self.rows, self.pivots
         while vec:
             j = min(vec)
             pos = bisect_left(pivots, j)
             if pos == len(pivots) or pivots[pos] != j:
-                return vec
-            row = self.rows[pos]
-            b, a = vec[j], row[j]
-            if b % a:
-                return vec
-            q = b // a
-            for k, v in row.items():
-                w = vec.get(k, 0) - q * v
-                if w:
-                    vec[k] = w
-                else:
-                    vec.pop(k, None)
+                break
+            row = rows[pos]
+            q, r = divmod(vec[j], row[j])
+            if r:
+                break
+            if coeffs is not None:
+                coeffs[pos] = q
+            axpy(vec, -q, row)
         return vec
+
+    def reduce(self, vec):
+        """Reduce a sparse vector against the basis as far as divisibility
+        allows; the result is empty iff `vec` lies in the lattice."""
+        return self._walk(vec, None)
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -186,27 +203,8 @@ class Echelon:
     def express(self, vec):
         """Coefficients writing `vec` over the basis rows, or None if the
         vector is not in the lattice."""
-        vec = dict(vec)
         coeffs = [0] * len(self.rows)
-        pivots = self.pivots
-        while vec:
-            j = min(vec)
-            pos = bisect_left(pivots, j)
-            if pos == len(pivots) or pivots[pos] != j:
-                return None
-            row = self.rows[pos]
-            b, a = vec[j], row[j]
-            if b % a:
-                return None
-            q = b // a
-            coeffs[pos] = q
-            for k, v in row.items():
-                w = vec.get(k, 0) - q * v
-                if w:
-                    vec[k] = w
-                else:
-                    vec.pop(k, None)
-        return coeffs
+        return None if self._walk(vec, coeffs) else coeffs
 
     def basis_rows(self):
         """Dense copies of the basis rows."""
@@ -248,9 +246,11 @@ def split_echelon(columns, top, bottom):
     stacked vectors and `zero_top` is the Echelon over Z^bottom spanned by
     the bottom parts of lattice elements whose top part vanishes.
 
-    This one primitive computes kernels (top = M e_j, bottom = e_j),
-    boundary images of relative cycles (top = proj dx, bottom = dx), and
-    lattice intersections.
+    This one primitive computes kernels and preimages (top = M e_j,
+    bottom = e_j), relative cycles (top = the boundary's part outside a
+    filtration level, bottom = e_j), boundary images of relative cycles
+    (top = proj dx, bottom = dx), and lattice intersections.  The time
+    budget is checked once per column.
     """
     full = Echelon(top + bottom)
     for t, b in columns:
@@ -258,6 +258,7 @@ def split_echelon(columns, top, bottom):
         for k, v in b.items():
             vec[k + top] = v
         full.add(vec)
+        checkpoint()
     zero_top = Echelon(bottom)
     for row, piv in zip(full.rows, full.pivots):
         if piv >= top:
@@ -444,29 +445,6 @@ def invariant_factors(m):
 # lattice operations
 # ---------------------------------------------------------------------------
 
-def lattice_sum(a, b):
-    """Echelon basis of L(a) + L(b); inputs are Echelons over the same Z^n."""
-    if a.ncols != b.ncols:
-        raise ValueError("ambient dimension mismatch")
-    out = Echelon(a.ncols)
-    for row in a.rows:
-        out.add(dict(row))
-    for row in b.rows:
-        out.add(dict(row))
-    return out
-
-
-def lattice_intersection(a, b):
-    """Echelon basis of L(a) & L(b)."""
-    if a.ncols != b.ncols:
-        raise ValueError("ambient dimension mismatch")
-    n = a.ncols
-    cols = [(dict(row), dict(row)) for row in a.rows]
-    cols += [({k: -v for k, v in row.items()}, {}) for row in b.rows]
-    _, inter = split_echelon(cols, n, n)
-    return inter
-
-
 def lattice_preimage(columns, ncols, target):
     """Echelon basis of {x in Z^ncols : M x in L(target)} for the matrix M
     given by sparse `columns` over Z^(target.ncols)."""
@@ -476,11 +454,28 @@ def lattice_preimage(columns, ncols, target):
     return pre
 
 
-def lattice_member(ech, vec):
-    """Membership of a dense or sparse vector in the lattice."""
-    if not isinstance(vec, dict):
-        vec = dense_to_sparse(vec)
-    return ech.contains(vec)
+def lattice_torsion(ech):
+    """Invariant-factor torsion of Z^ncols / L(ech); empty without a Smith
+    form when every pivot is +-1."""
+    if ech.has_unit_pivots():
+        return ()
+    facs = invariant_factors(IntMatrix.from_rows(ech.basis_rows(), ech.ncols))
+    return tuple(f for f in facs if f != 1)
+
+
+def quotient_in(top, sub_rows, what):
+    """L(top) / L(sub_rows) as a group presented on top's basis rows.
+
+    Returns (group, rels) with rels the rows of `sub_rows` written in the
+    basis of `top`; raises ContractViolation(what) when a row escapes
+    L(top)."""
+    rels = []
+    for row in sub_rows:
+        coeffs = top.express(row)
+        if coeffs is None:
+            raise ContractViolation(what)
+        rels.append(dense_to_sparse(coeffs))
+    return AbelianGroup(top.rank, echelon_from_rows(rels, top.rank)), rels
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +504,7 @@ class AbelianGroup:
             raise ValueError("relation length does not match generator count")
         self.relations = relations
         self.free_rank = ngens - relations.rank
-        if relations.has_unit_pivots():
-            self.torsion = ()
-        else:
-            facs = invariant_factors(
-                IntMatrix.from_rows(relations.basis_rows(), ngens))
-            self.torsion = tuple(f for f in facs if f != 1)
+        self.torsion = lattice_torsion(relations)
 
     @classmethod
     def free(cls, rank):
@@ -546,12 +536,6 @@ class AbelianGroup:
 
     def isomorphic(self, other):
         return self.invariants() == other.invariants()
-
-    def is_zero_element(self, vec):
-        """Does the vector of generator coefficients represent 0?"""
-        if not isinstance(vec, dict):
-            vec = dense_to_sparse(vec)
-        return self.relations.contains(vec)
 
     def __str__(self):
         parts = []
@@ -601,12 +585,7 @@ class GroupMap:
             vec = dense_to_sparse(vec)
         out = {}
         for j, a in vec.items():
-            for i, b in self.columns[j].items():
-                w = out.get(i, 0) + a * b
-                if w:
-                    out[i] = w
-                else:
-                    del out[i]
+            axpy(out, a, self.columns[j])
         return out
 
     @classmethod
@@ -626,52 +605,28 @@ class GroupMap:
         return GroupMap(other.source, self.target, cols, check=False)
 
 
-def kernel_lattice(f):
-    """Lattice {x in Z^src : f(x) = 0 in target}, echelonized."""
-    cols = [(dict(c), {j: 1}) for j, c in enumerate(f.columns)]
-    cols += [(dict(r), {}) for r in f.target.relations.rows]
-    _, ker = split_echelon(cols, f.target.ngens, f.source.ngens)
-    return ker
-
-
 def kernel_of(f):
     """Kernel of a GroupMap, as an abstract AbelianGroup."""
-    ker = kernel_lattice(f)
-    rels = []
-    for row in f.source.relations.rows:
-        coeffs = ker.express(row)
-        if coeffs is None:
-            raise ContractViolation("source relations must lie in the kernel")
-        rels.append(dense_to_sparse(coeffs))
-    return AbelianGroup(ker.rank, echelon_from_rows(rels, ker.rank))
+    ker = lattice_preimage(f.columns, f.source.ngens, f.target.relations)
+    return quotient_in(ker, f.source.relations.rows,
+                       "source relations must lie in the kernel")[0]
 
 
 def image_lattice(f):
     """Lattice im(f) + relations(target) inside Z^target."""
-    out = Echelon(f.target.ngens)
-    for c in f.columns:
-        out.add(dict(c))
-    for r in f.target.relations.rows:
-        out.add(dict(r))
-    return out
+    return echelon_from_rows(f.columns + f.target.relations.rows,
+                             f.target.ngens)
 
 
 def image_of(f):
     """Image of a GroupMap, as an abstract AbelianGroup."""
-    lat = image_lattice(f)
-    rels = []
-    for row in f.target.relations.rows:
-        coeffs = lat.express(row)
-        assert coeffs is not None
-        rels.append(dense_to_sparse(coeffs))
-    return AbelianGroup(lat.rank, echelon_from_rows(rels, lat.rank))
+    return quotient_in(image_lattice(f), f.target.relations.rows,
+                       "target relations must lie in the image lattice")[0]
 
 
 def cokernel_of(f):
-    rows = [dict(r) for r in f.target.relations.rows]
-    rows += [dict(c) for c in f.columns]
-    return AbelianGroup(f.target.ngens,
-                        echelon_from_rows(rows, f.target.ngens))
+    return AbelianGroup(f.target.ngens, echelon_from_rows(
+        f.target.relations.rows + f.columns, f.target.ngens))
 
 
 def is_surjective(f):
@@ -679,34 +634,14 @@ def is_surjective(f):
     return lat.rank == f.target.ngens and lat.has_unit_pivots()
 
 
-def is_injective(f):
-    ker = kernel_lattice(f)
-    # injective iff kernel lattice == relation lattice of the source
-    for row in ker.rows:
-        if not f.source.relations.contains(row):
-            return False
-    return True
-
-
 def homology_at(f_in, f_out):
     """ker(f_out)/im(f_in) for composable GroupMaps A --f_in--> B --f_out--> C."""
     if f_in.target.ngens != f_out.source.ngens:
         raise ValueError("maps are not composable")
-    ker = kernel_lattice(f_out)
-    img = image_lattice(f_in)
-    rels = []
-    for row in img.rows:
-        coeffs = ker.express(row)
-        if coeffs is None:
-            raise ContractViolation(
-                "image does not lie in the kernel (f_out o f_in != 0)")
-        rels.append(dense_to_sparse(coeffs))
-    return AbelianGroup(ker.rank, echelon_from_rows(rels, ker.rank))
-
-
-def induced_map(columns, source, target, check=True):
-    """GroupMap sending source generator j to `columns[j]` in the target."""
-    return GroupMap(source, target, columns, check=check)
+    ker = lattice_preimage(f_out.columns, f_out.source.ngens,
+                           f_out.target.relations)
+    return quotient_in(ker, image_lattice(f_in).rows,
+                       "image does not lie in the kernel (f_out o f_in != 0)")[0]
 
 
 def quotient_group(ambient_rank, relations):
@@ -750,12 +685,7 @@ def _check_composable(in_cols, out_cols):
     for col in in_cols:
         acc = {}
         for j, a in col.items():
-            for i, b in out_cols[j].items():
-                w = acc.get(i, 0) + a * b
-                if w:
-                    acc[i] = w
-                else:
-                    del acc[i]
+            axpy(acc, a, out_cols[j])
         if acc:
             raise ContractViolation("boundary of a boundary is nonzero")
 
@@ -766,19 +696,10 @@ def _subquotient_classify(d_in, d_out):
     if in_rows != out_ncols:
         raise ValueError("boundary matrices are not composable")
     _check_composable(in_cols, out_cols)
-    img = Echelon(in_rows)
-    for col in in_cols:
-        img.add(dict(col))
-    out_rank = Echelon(out_rows)
-    for col in out_cols:
-        out_rank.add(dict(col))
-    free = in_rows - out_rank.rank - img.rank
-    if img.has_unit_pivots():
-        torsion = ()
-    else:
-        facs = invariant_factors(IntMatrix.from_rows(img.basis_rows(), in_rows))
-        torsion = tuple(f for f in facs if f != 1)
-    return AbelianGroup.from_invariants(free, torsion)
+    img = echelon_from_rows(in_cols, in_rows)
+    out_rank = echelon_from_rows(out_cols, out_rows).rank
+    return AbelianGroup.from_invariants(in_rows - out_rank - img.rank,
+                                        lattice_torsion(img))
 
 
 def subquotient_presentation(d_in, d_out):
@@ -791,14 +712,6 @@ def subquotient_presentation(d_in, d_out):
         raise ValueError("boundary matrices are not composable")
     _check_composable(in_cols, out_cols)
     ker = kernel_echelon(out_cols, out_rows, out_ncols)
-    img = Echelon(in_rows)
-    for col in in_cols:
-        img.add(dict(col))
-    rels = []
-    for row in img.rows:
-        coeffs = ker.express(row)
-        if coeffs is None:
-            raise ContractViolation("image does not lie in the kernel")
-        rels.append(dense_to_sparse(coeffs))
-    group = AbelianGroup(ker.rank, echelon_from_rows(rels, ker.rank))
+    group, rels = quotient_in(ker, echelon_from_rows(in_cols, in_rows).rows,
+                              "image does not lie in the kernel")
     return group, ker, rels

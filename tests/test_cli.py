@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+import cubehom.cli
 from cubehom.cli import main
-from cubehom.graphs import format_edge_list, greene_sphere
+from cubehom.graphs import cycle_graph, format_edge_list, greene_sphere
+from cubehom.zlinalg import ContractViolation
 
 
 def run_cli(argv, stdin_text="", capsys=None, monkeypatch=None):
@@ -84,6 +86,15 @@ def test_injective_homology_command(cli):
     assert doc["results"] == {"n": 2, "rank": 1, "torsion": []}
 
 
+def test_injective_homology_solid_cube(cli):
+    # injective 3-cubes exist, yet chains through dimension 3 suffice
+    code, out, _ = cli(["gen", "hypercube", "3"])
+    code, out, _ = cli(["injective-homology", "--dim", "2", "--format",
+                        "json"], out)
+    assert code == 0
+    assert json.loads(out)["results"] == {"n": 2, "rank": 0, "torsion": []}
+
+
 def test_einf_command(cli):
     graph_text = format_edge_list(greene_sphere(4))
     code, out, _ = cli(["einf", "--dim", "2", "--format", "json"], graph_text)
@@ -145,6 +156,25 @@ def test_budget_exhaustion_exit_code(cli):
     assert code == 2
     doc = json.loads(out)
     assert doc["status"] == "incomplete"
+
+
+def test_contract_violation_exit_code(cli, monkeypatch):
+    def broken(c, n):
+        raise ContractViolation("image does not lie in the kernel")
+
+    monkeypatch.setattr(cubehom.cli, "injective_homology", broken)
+    graph_text = format_edge_list(cycle_graph(5))
+    code, out, err = cli(["injective-homology", "--dim", "1", "--format",
+                          "json"], graph_text)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["command"] == "injective-homology"
+    assert doc["status"] == "error"
+    assert doc["results"] == {"violated": "image does not lie in the kernel"}
+    assert "image does not lie in the kernel" in err
+    code, out, err = cli(["injective-homology", "--dim", "1"], graph_text)
+    assert code == 3 and out == ""
+    assert "internal identity failed" in err
 
 
 def test_bad_input_exit_code(cli):

@@ -110,6 +110,17 @@ def test_injective_homology_c6_h1(c6):
     assert injective_homology(c6, 1).invariants() == (1, ())
 
 
+def test_injective_homology_needs_one_dimension_up():
+    # Q3 has injective 3-cubes; they enter through their boundaries only,
+    # so no dimension-4 data is needed (Q3 is 2-quasimonophobic and its
+    # filled-cube complex has H_2 = 0)
+    assert injective_homology(normalized_complex(hypercube_graph(3), 3),
+                              2).is_trivial
+    # injective squares of the sphere graph: chains through dimension 2
+    assert injective_homology(normalized_complex(greene_sphere(4), 2),
+                              1).is_trivial
+
+
 def test_injective_homology_disjoint_union_splits():
     # two 6-cycles side by side: componentwise direct sum
     edges = [(i, (i + 1) % 6) for i in range(6)]

@@ -2,31 +2,31 @@ import random
 
 import pytest
 
+from cubehom.budget import BudgetExhausted, clear_time_budget, set_time_budget
 from cubehom.zlinalg import (
     AbelianGroup,
     ContractViolation,
     Echelon,
     GroupMap,
     IntMatrix,
+    axpy,
     cokernel_of,
     dense_to_sparse,
     echelon_from_rows,
     hermite_normal_form,
     homology_at,
     image_of,
-    induced_map,
     invariant_factors,
-    is_injective,
     is_surjective,
     kernel_echelon,
     kernel_of,
-    lattice_intersection,
-    lattice_member,
     lattice_preimage,
-    lattice_sum,
+    lattice_torsion,
     matrix_columns_sparse,
     quotient_group,
+    quotient_in,
     smith_normal_form,
+    split_echelon,
     subquotient_homology,
     subquotient_presentation,
 )
@@ -238,6 +238,19 @@ def test_kernel_is_saturated():
         assert ker.rank + img.rank == c
 
 
+def lattice_sum(a, b):
+    return echelon_from_rows(a.rows + b.rows, a.ncols)
+
+
+def lattice_meet(a, b):
+    # x in L(a) & L(b) iff (x, x) = sum of (r, r) over a minus (s, 0) over b
+    # leaves a zero top part
+    n = a.ncols
+    cols = [(r, r) for r in a.rows]
+    cols += [({k: -v for k, v in r.items()}, {}) for r in b.rows]
+    return split_echelon(cols, n, n)[1]
+
+
 def test_lattice_sum_intersection_membership():
     two = echelon_from_rows([[2, 0], [0, 2]], 2)
     three = echelon_from_rows([[3, 0], [0, 3]], 2)
@@ -246,12 +259,12 @@ def test_lattice_sum_intersection_membership():
 
     a = echelon_from_rows([[2]], 1)
     b = echelon_from_rows([[3]], 1)
-    inter = lattice_intersection(a, b)
+    inter = lattice_meet(a, b)
     assert inter.basis_rows() == [[6]] or inter.basis_rows() == [[-6]]
 
     three2 = echelon_from_rows([[3, 0], [0, 3]], 2)
-    assert lattice_member(three2, [3, 0])
-    assert not lattice_member(three2, [1, 0])
+    assert three2.contains({0: 3})
+    assert not three2.contains({0: 1})
 
 
 def test_lattice_modular_identities_random():
@@ -269,11 +282,11 @@ def test_lattice_modular_identities_random():
         s = lattice_sum(a, b)
         for row in a.rows:
             assert s.contains(dict(row))
-        i = lattice_intersection(a, b)
+        i = lattice_meet(a, b)
         for row in i.rows:
             assert a.contains(dict(row)) and b.contains(dict(row))
-        left = lattice_sum(lattice_intersection(a, b), lattice_intersection(a, c))
-        right = lattice_intersection(a, lattice_sum(b, c))
+        left = lattice_sum(lattice_meet(a, b), lattice_meet(a, c))
+        right = lattice_meet(a, lattice_sum(b, c))
         for row in left.rows:
             assert right.contains(dict(row))
 
@@ -333,18 +346,21 @@ def test_quotient_group_torsion_chain():
 
 def test_group_map_identity_on_torsion():
     z2 = quotient_group(1, [[2]])
-    f = induced_map([{0: 1}], z2, z2)
+    f = GroupMap(z2, z2, [{0: 1}])
     assert kernel_of(f).is_trivial
     assert image_of(f).invariants() == (0, (2,))
 
 
 def test_group_map_doubling():
     z = AbelianGroup.free(1)
-    f = induced_map([{0: 2}], z, z)
+    f = GroupMap(z, z, [{0: 2}])
     assert kernel_of(f).is_trivial
     assert cokernel_of(f).invariants() == (0, (2,))
-    assert is_injective(f)
     assert not is_surjective(f)
+    # the inclusion 2Z/4Z -> Z/4Z is injective; doubling on Z/4 is not
+    z4 = quotient_group(1, [[4]])
+    assert kernel_of(GroupMap(quotient_group(1, [[2]]), z4, [{0: 2}])).is_trivial
+    assert kernel_of(GroupMap(z4, z4, [{0: 2}])).invariants() == (0, (2,))
 
 
 def test_homology_at_zero_maps():
@@ -357,7 +373,7 @@ def test_homology_at_zero_maps():
 
 def test_homology_at_contract_violation():
     z = AbelianGroup.free(1)
-    f = induced_map([{0: 1}], z, z)
+    f = GroupMap(z, z, [{0: 1}])
     with pytest.raises(ContractViolation):
         homology_at(f, f)  # identity composed with identity is not zero
 
@@ -366,7 +382,7 @@ def test_ill_defined_map_rejected():
     z2 = quotient_group(1, [[2]])
     z = AbelianGroup.free(1)
     with pytest.raises(ContractViolation):
-        induced_map([{0: 1}], z2, z)  # Z/2 -> Z sending gen to 1
+        GroupMap(z2, z, [{0: 1}])  # Z/2 -> Z sending gen to 1
 
 
 def test_mod2_boundary_torsion():
@@ -437,3 +453,66 @@ def test_group_str_and_iso():
     assert str(AbelianGroup.free(2)) == "Z^2"
     a = AbelianGroup.from_invariants(1, (2, 4))
     assert a.isomorphic(quotient_group(3, [[0, 2, 0], [0, 0, 4]]))
+
+
+def test_axpy_in_place_and_drops_zeros():
+    d = {0: 1, 1: 2}
+    assert axpy(d, 2, {1: -1, 2: 3}) is d
+    assert d == {0: 1, 2: 6}
+    assert axpy(d, -1, dict(d)) == {}
+    assert axpy({}, 0, {5: 1}) == {}
+    src = {3: 4}
+    axpy({3: 1}, 1, src)
+    assert src == {3: 4}
+
+
+def test_reduce_and_express_agree_random():
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        gens = [dense_to_sparse([rng.randint(-4, 4) for _ in range(n)])
+                for _ in range(rng.randint(0, 4))]
+        ech = echelon_from_rows(gens, n)
+        for _ in range(10):
+            if gens and rng.random() < 0.5:
+                vec = {}
+                for gen in gens:
+                    axpy(vec, rng.randint(-3, 3), gen)
+            else:
+                vec = dense_to_sparse([rng.randint(-6, 6) for _ in range(n)])
+            before = dict(vec)
+            coeffs = ech.express(vec)
+            rest = ech.reduce(vec)
+            assert vec == before  # neither consumes its argument
+            assert (coeffs is None) == bool(rest)
+            if coeffs is not None:
+                back = {}
+                for q, row in zip(coeffs, ech.rows):
+                    axpy(back, q, row)
+                assert back == vec
+
+
+def test_quotient_in_presents_and_names_violation():
+    top = echelon_from_rows([[1, 0], [0, 1]], 2)
+    group, rels = quotient_in(top, [{0: 2}], "unused")
+    assert group.invariants() == (1, (2,))
+    assert rels == [{0: 2}]
+    evens = echelon_from_rows([[2, 0]], 2)
+    with pytest.raises(ContractViolation, match="sublattice escapes"):
+        quotient_in(evens, [{0: 2}, {1: 1}], "sublattice escapes")
+
+
+def test_lattice_torsion():
+    assert lattice_torsion(echelon_from_rows([[2, 0], [0, 3]], 2)) == (6,)
+    assert lattice_torsion(echelon_from_rows([[1, 5], [0, 1]], 2)) == ()
+    assert lattice_torsion(Echelon(3)) == ()
+
+
+def test_split_echelon_checks_budget_per_column():
+    # fresh pivots never reduce, so only the per-column check can fire
+    set_time_budget(-1)
+    try:
+        with pytest.raises(BudgetExhausted):
+            split_echelon([({j: 1}, {}) for j in range(3)], 3, 0)
+    finally:
+        clear_time_budget()
