@@ -12,7 +12,6 @@ inside the full chain groups, which scales to large top dimensions; the
 two routes are cross-checked in the test suite.
 """
 
-from .budget import checkpoint
 from .chains import (
     _boundary_column,
     degree_quotient_complex,
@@ -418,7 +417,6 @@ def quotient_homology(g, k, n, threads=1, early_stop=True):
         since_check = 0
         for col in _slice_columns(g, k, n, here_index):
             img.add(col)
-            checkpoint()
             since_check += 1
             if early_stop and since_check >= 256:
                 since_check = 0
@@ -433,7 +431,6 @@ def quotient_homology(g, k, n, threads=1, early_stop=True):
             for chunk in pool.map(_stream_chunk, jobs):
                 for col in chunk:
                     img.add(col)
-                    checkpoint()
                 if early_stop and saturated():
                     pool.shutdown(wait=False, cancel_futures=True)
                     break

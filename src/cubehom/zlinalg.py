@@ -107,14 +107,13 @@ def _xgcd(a, b):
 
 def axpy(dst, a, src):
     """dst += a * src on sparse vectors, in place; zero entries are
-    dropped.  Returns dst."""
+    dropped."""
     for k, v in src.items():
         w = dst.get(k, 0) + a * v
         if w:
             dst[k] = w
         else:
             dst.pop(k, None)
-    return dst
 
 
 class Echelon:
@@ -123,7 +122,9 @@ class Echelon:
     Rows are sparse dicts; the pivot of each row is its smallest column
     index, and pivot columns strictly increase down the basis.  `add`
     grows the lattice by one vector, keeping the echelon invariant via
-    gcd row operations (unimodular on the span).
+    gcd row operations (unimodular on the span); it checks the time budget
+    once per vector and after each gcd step, so every loop that builds a
+    lattice stops within one vector of the deadline.
     """
 
     __slots__ = ("ncols", "rows", "pivots")
@@ -139,6 +140,7 @@ class Echelon:
 
     def add(self, vec):
         """Add the span of `vec` (a sparse dict, consumed) to the lattice."""
+        checkpoint()
         rows, pivots = self.rows, self.pivots
         while vec:
             j = min(vec)
@@ -169,7 +171,7 @@ class Echelon:
                     else:
                         vec.pop(k, None)
                 rows[pos] = new_row
-            checkpoint()
+                checkpoint()
 
     def _walk(self, vec, coeffs):
         """Reduce a copy of `vec` down the basis while each leading entry
@@ -249,8 +251,7 @@ def split_echelon(columns, top, bottom):
     This one primitive computes kernels and preimages (top = M e_j,
     bottom = e_j), relative cycles (top = the boundary's part outside a
     filtration level, bottom = e_j), boundary images of relative cycles
-    (top = proj dx, bottom = dx), and lattice intersections.  The time
-    budget is checked once per column.
+    (top = proj dx, bottom = dx), and lattice intersections.
     """
     full = Echelon(top + bottom)
     for t, b in columns:
@@ -258,7 +259,6 @@ def split_echelon(columns, top, bottom):
         for k, v in b.items():
             vec[k + top] = v
         full.add(vec)
-        checkpoint()
     zero_top = Echelon(bottom)
     for row, piv in zip(full.rows, full.pivots):
         if piv >= top:
