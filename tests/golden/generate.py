@@ -6,6 +6,10 @@ Runs every case in-process through `cubehom.cli.main` and writes its
 standard output to `out/<case>.txt`; `manifest.json` records each case's
 arguments, input graph, exit code and output file.  The `gen` cases write
 their output to the edge lists under `graphs/` that the other cases read.
+Every graph case runs once with `--format json` and once, under the same
+name plus `-table`, with `--format table`.  The `budget0-` cases run with
+`--time-budget 0`, which stops at the first budget check, and freeze the
+incomplete documents and partial tables.
 Regenerating rewrites the expected values, so do it only for a deliberate
 change of output.
 """
@@ -73,17 +77,32 @@ DEEP = [
 DEEP_GRAPHS = ("gs4", "k23", "c5", "c6", "c7", "disconnected", "empty",
                "single")
 
+# h2-pipeline with the direct chain-level check forced on and off
+DIRECT = [
+    ("h2-always", ["h2-pipeline", "--direct", "always"]),
+    ("h2-never", ["h2-pipeline", "--direct", "never"]),
+]
+DIRECT_GRAPHS = BUDGET_GRAPHS = ("gs4", "k23")
+
 
 def cases():
-    """(case name, argv, input graph name or None) in a fixed order."""
+    """(case name, argv, input graph name or None) in a fixed order; the
+    input graph's path is appended to argv when the case runs."""
     out = [(f"gen-{name}", ["gen"] + args, None)
            for name, args in GENERATED.items()]
-    for graph in list(GENERATED) + list(WRITTEN):
-        for suffix, args in EVERY_GRAPH:
-            out.append((f"{graph}-{suffix}", args, graph))
-    for graph in DEEP_GRAPHS:
-        for suffix, args in DEEP:
-            out.append((f"{graph}-{suffix}", args, graph))
+    runs = [(f"{graph}-{suffix}", args, graph)
+            for graph in list(GENERATED) + list(WRITTEN)
+            for suffix, args in EVERY_GRAPH]
+    runs += [(f"{graph}-{suffix}", args, graph)
+             for graph in DEEP_GRAPHS for suffix, args in DEEP]
+    runs += [(f"{graph}-{suffix}", args, graph)
+             for graph in DIRECT_GRAPHS for suffix, args in DIRECT]
+    runs += [(f"budget0-{graph}-{suffix}", args + ["--time-budget", "0"],
+              graph)
+             for graph in BUDGET_GRAPHS for suffix, args in EVERY_GRAPH + DEEP]
+    for fmt, tag in (("json", ""), ("table", "-table")):
+        out += [(name + tag, args + ["--format", fmt], graph)
+                for name, args, graph in runs]
     return out
 
 
@@ -92,8 +111,7 @@ def run_case(argv, graph):
     from cubehom.cli import main
 
     if graph is not None:
-        argv = argv + [str(HERE / "graphs" / f"{graph}.txt"),
-                       "--format", "json"]
+        argv = argv + [str(HERE / "graphs" / f"{graph}.txt")]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), \
             contextlib.redirect_stderr(io.StringIO()):
