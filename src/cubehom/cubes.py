@@ -312,28 +312,22 @@ def _passes(corners, filt):
     raise ValueError(f"unknown filter {filt!r}")
 
 
-def singular_cubes(g, n, filt="all", first_corner=None):
+def singular_cubes(g, n, filt="all", prefix=None):
     """Yield cubes I^n -> g passing the filter, in lexicographic corner
     order.
 
     Depth-first assignment of corners in bitmask order; a corner's
     candidates are the intersection of the closed neighborhoods of its
-    already-assigned cube neighbors.  Restricting `first_corner` yields
-    the slice of the enumeration rooted at that corner-0 image, so the
-    slices concatenated over all graph vertices reproduce the stream.
+    already-assigned cube neighbors.  A `prefix` pins corners
+    0..len(prefix)-1 to the given vertices, which must themselves satisfy
+    the graph-map condition, and yields only the cubes extending it:
+    `prefix=(v,)` is the slice rooted at corner-0 image v, so the slices
+    concatenated over all graph vertices reproduce the stream, and the
+    corners of an n-cube as prefix give the (n+1)-cubes having it as
+    front n-face (the cofaces of the witness search).
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
-    if g.n == 0:
-        return
-    if n == 0:
-        first = range(g.n) if first_corner is None else (first_corner,)
-        for v in first:
-            corners = (v,)
-            if _passes(corners, filt):
-                yield corners
-        return
-
     inject = filt == "injective"
     size = 1 << n
     closed = g.closed
@@ -341,17 +335,29 @@ def singular_cubes(g, n, filt="all", first_corner=None):
     lower = [[b ^ (1 << j) for j in range(n) if b & (1 << j)]
              for b in range(size)]
     corners = [0] * size
-    used = set()
-    first = range(g.n) if first_corner is None else (first_corner,)
-    for v0 in first:
-        corners[0] = v0
-        used.clear()
-        used.add(v0)
-        # stack of candidate iterators, one per corner position
+    roots = [(v,) for v in range(g.n)] if prefix is None else (prefix,)
+    for root in roots:
+        k = len(root)
+        corners[:k] = root
+        if k == size:
+            t = tuple(corners)
+            if _passes(t, filt):
+                yield t
+            continue
+        cons = lower[k]
+        cand = closed[corners[cons[0]]]
+        for cidx in cons[1:]:
+            cand = cand & closed[corners[cidx]]
+        if inject:
+            used = set(root)
+            if len(used) < k:
+                continue
+            cand = cand - used
+        # stack of candidate iterators, one per free corner position
         stack = [None] * size
-        b = 1
-        stack[1] = iter(sorted(closed[v0] - used if inject else closed[v0]))
-        while b >= 1:
+        b = k
+        stack[k] = iter(sorted(cand))
+        while b >= k:
             checkpoint()
             it = stack[b]
             advanced = False
@@ -382,7 +388,7 @@ def singular_cubes(g, n, filt="all", first_corner=None):
                     break
             if not advanced:
                 b -= 1
-                if inject and b >= 1:
+                if inject and b >= k:
                     used.discard(corners[b])
 
 
@@ -414,7 +420,7 @@ def _worker_count(threads, n_vertices):
 
 def _enumerate_chunk(args):
     g, n, filt, v = args
-    return list(singular_cubes(g, n, filt, first_corner=v))
+    return list(singular_cubes(g, n, filt, prefix=(v,)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,23 @@ image is Q; in the quasimonophobic variant only noninjective witnesses
 count.  A graph is n-(quasi)monophobic when every n-cube subgraph is
 rigid and passes; graphs with no n-cubes pass vacuously.
 
-Witness search only needs candidates whose front 1-face is the canonical
-parametrization of Q: any witness with some face supported by Q can be
-carried onto one of that shape by a cube symmetry, and the number of
-supported faces is symmetry-invariant.
+Witness search only needs candidates with one face equal to the
+canonical parametrization of Q: any witness with some face supported by
+Q can be carried onto one of that shape by a cube symmetry, and the
+number of supported faces and injectivity are symmetry-invariant.  The
+search runs through the shared extender `singular_cubes`, with Q's
+parametrization pinned as the front (n+1)-face (corners 0..2^n - 1);
+only the witness it returns is reindexed, by the coordinate shift that
+makes that face the front 1-face, so emitted witnesses keep that shape.
 """
 
-from .budget import checkpoint
 from .cubes import (
     cube_dim,
     cube_subgraphs,
     face_getters,
     image_subgraph,
     is_injective,
+    singular_cubes,
 )
 
 
@@ -79,43 +83,6 @@ def supported_face_count(tau, q):
     return count
 
 
-def _candidate_witnesses(g, rep, mode):
-    """All singular (n+1)-cubes whose front 1-face is `rep`, in
-    lexicographic top-face order; quasi mode skips injective ones.
-
-    Top corners are chosen from the closed neighborhood of the bottom
-    corner below them, pruned by adjacency inside the top face.
-    """
-    n = (len(rep) - 1).bit_length()
-    size = 1 << n
-    closed = g.closed
-    tau = [0] * (2 * size)
-    for c in range(size):
-        tau[2 * c] = rep[c]
-    # top-face neighbors with smaller index, for pruning
-    lower = [[c ^ (1 << j) for j in range(n) if c & (1 << j)]
-             for c in range(size)]
-
-    def rec(c):
-        checkpoint()
-        if c == size:
-            t = tuple(tau)
-            if mode == "quasimonophobic" and is_injective(t):
-                return
-            yield t
-            return
-        cand = closed[tau[2 * c]]
-        for c2 in lower[c]:
-            cand = cand & closed[tau[2 * c2 + 1]]
-            if not cand:
-                return
-        for v in sorted(cand):
-            tau[2 * c + 1] = v
-            yield from rec(c + 1)
-
-    yield from rec(0)
-
-
 def check_cube(g, q, mode="quasimonophobic"):
     """(passes, witness) for one rigid cube subgraph.
 
@@ -127,9 +94,14 @@ def check_cube(g, q, mode="quasimonophobic"):
         raise ValueError(f"unknown mode {mode!r}")
     if not is_rigid(g, q):
         return False, None
-    for tau in _candidate_witnesses(g, q.rep, mode):
+    quasi = mode == "quasimonophobic"
+    size = len(q.rep)
+    for tau in singular_cubes(g, q.dim + 1, prefix=q.rep):
+        if quasi and is_injective(tau):
+            continue
         if supported_face_count(tau, q) == 1:
-            return False, tau
+            return False, tuple(tau[(t & 1) * size + (t >> 1)]
+                                for t in range(2 * size))
     return True, None
 
 

@@ -362,11 +362,11 @@ def _slice_basis(g, k, n):
             if cube_degree(cube) == k]
 
 
-def _slice_columns(g, k, n, here_index, first_corner=None):
+def _slice_columns(g, k, n, here_index, prefix=None):
     """Boundary columns, over the slice basis `here_index`, of the degree-k
-    nondegenerate (n+1)-cubes, optionally only those with corner 0 at
-    `first_corner`."""
-    for cube in singular_cubes(g, n + 1, "nondegenerate", first_corner):
+    nondegenerate (n+1)-cubes, optionally only those extending the corner
+    `prefix`."""
+    for cube in singular_cubes(g, n + 1, "nondegenerate", prefix):
         if cube_degree(cube) == k:
             yield _boundary_column(cube, n + 1, here_index)
 
@@ -374,10 +374,10 @@ def _slice_columns(g, k, n, here_index, first_corner=None):
 def _stream_chunk(args):
     """Worker: echelonize one corner-0 chunk of the boundary stream and
     ship only the reduced rows (the chunk's image lattice)."""
-    g, k, n, here, first_corner = args
+    g, k, n, here, v = args
     here_index = {cube: i for i, cube in enumerate(here)}
     return echelon_from_rows(
-        _slice_columns(g, k, n, here_index, first_corner), len(here)).rows
+        _slice_columns(g, k, n, here_index, (v,)), len(here)).rows
 
 
 def quotient_homology(g, k, n, threads=1, early_stop=True):

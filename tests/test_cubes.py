@@ -280,8 +280,28 @@ def test_enumeration_lex_order_and_chunking():
     assert full == sorted(full)
     chunked = []
     for v in range(g.n):
-        chunked.extend(singular_cubes(g, 2, "nondegenerate", first_corner=v))
+        chunked.extend(singular_cubes(g, 2, "nondegenerate", prefix=(v,)))
     assert chunked == full
+
+
+@pytest.mark.parametrize("filt", ["all", "nondegenerate", "injective"])
+def test_prefix_restricts_the_stream(filt):
+    g = hypercube_graph(3)
+    full = list(singular_cubes(g, 3, filt))
+    assert full
+    for k in (1, 2, 3, 4, 8):
+        by_prefix = {}
+        for c in full:
+            by_prefix.setdefault(c[:k], []).append(c)
+        for prefix, cubes in by_prefix.items():
+            assert list(singular_cubes(g, 3, filt, prefix=prefix)) == cubes
+
+
+def test_injective_prefix_with_repeated_corner_yields_nothing():
+    g = hypercube_graph(3)
+    assert list(singular_cubes(g, 2, "injective", prefix=(0, 1, 1))) == []
+    assert list(singular_cubes(g, 2, "all", prefix=(0, 1, 1))) == \
+        [c for c in singular_cubes(g, 2) if c[:3] == (0, 1, 1)]
 
 
 def test_degree_filter():

@@ -99,6 +99,87 @@ def test_supported_face_count_matches_reference(graph):
     assert checked > 0
 
 
+def _oracle_candidates(g, rep, mode):
+    """The witness candidates as the search visited them before it ran
+    through `singular_cubes`: every singular (n+1)-cube whose front 1-face
+    is `rep`, top corners assigned in order by a recursive extender;
+    quasi mode skips injective ones."""
+    n = (len(rep) - 1).bit_length()
+    size = 1 << n
+    closed = g.closed
+    tau = [0] * (2 * size)
+    for c in range(size):
+        tau[2 * c] = rep[c]
+    lower = [[c ^ (1 << j) for j in range(n) if c & (1 << j)]
+             for c in range(size)]
+
+    def rec(c):
+        if c == size:
+            t = tuple(tau)
+            if mode == "quasimonophobic" and is_injective(t):
+                return
+            yield t
+            return
+        cand = closed[tau[2 * c]]
+        for c2 in lower[c]:
+            cand = cand & closed[tau[2 * c2 + 1]]
+            if not cand:
+                return
+        for v in sorted(cand):
+            tau[2 * c + 1] = v
+            yield from rec(c + 1)
+
+    yield from rec(0)
+
+
+def _oracle_check(g, q, mode):
+    for tau in _oracle_candidates(g, q.rep, mode):
+        if supported_face_count(tau, q) == 1:
+            return False, tau
+    return True, None
+
+
+ORACLE_GRAPHS = [k4, lambda: complete_bipartite_graph(2, 3),
+                 lambda: hypercube_graph(3), lambda: greene_sphere(4)]
+
+
+@pytest.mark.parametrize("graph", ORACLE_GRAPHS,
+                         ids=["K4", "K23", "Q3", "gs4"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_coface_stream_matches_oracle(graph, n):
+    g = graph()
+    squares = cube_subgraphs(g, n)
+    assert squares
+    for q in squares:
+        size = len(q.rep)
+        stream = [tuple(tau[(t & 1) * size + (t >> 1)]
+                        for t in range(2 * size))
+                  for tau in singular_cubes(g, n + 1, prefix=q.rep)]
+        oracle = list(_oracle_candidates(g, q.rep, "monophobic"))
+        assert stream == oracle
+        assert [t for t in stream if not is_injective(t)] == \
+            list(_oracle_candidates(g, q.rep, "quasimonophobic"))
+
+
+@pytest.mark.parametrize("graph", ORACLE_GRAPHS,
+                         ids=["K4", "K23", "Q3", "gs4"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mode", ["monophobic", "quasimonophobic"])
+def test_check_cube_witness_matches_oracle(graph, n, mode):
+    g = graph()
+    for q in cube_subgraphs(g, n):
+        if is_rigid(g, q):
+            assert check_cube(g, q, mode) == _oracle_check(g, q, mode)
+
+
+def test_check_cube_k23_witnesses_frozen():
+    g = complete_bipartite_graph(2, 3)
+    got = [check_cube(g, q) for q in cube_subgraphs(g, 2)]
+    assert got == [(False, (0, 0, 2, 0, 3, 0, 1, 4)),
+                   (False, (0, 0, 2, 0, 4, 0, 1, 3)),
+                   (False, (0, 0, 3, 0, 4, 0, 1, 2))]
+
+
 def test_supported_face_count_dimension_check():
     g = greene_sphere(4)
     q = cube_subgraphs(g, 2)[0]
