@@ -169,6 +169,7 @@ def test_contract_violation_exit_code(cli, monkeypatch):
     assert code == 3
     doc = json.loads(out)
     assert doc["command"] == "injective-homology"
+    assert doc["graph"] == {"vertices": 5, "edges": 5}
     assert doc["status"] == "error"
     assert doc["results"] == {"violated": "image does not lie in the kernel"}
     assert "image does not lie in the kernel" in err
@@ -181,6 +182,44 @@ def test_bad_input_exit_code(cli):
     code, _, err = cli(["homology", "--max-dim", "2"], "0 zero\n")
     assert code == 1
     assert "line 1" in err
+
+
+def test_unreadable_graph_file(cli, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = cli(["homology", "--max-dim", "2", str(missing)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {missing}: ")
+    assert "line 0" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology"],  # missing --max-dim
+    ["homology", "--max-dim", "two"],
+    ["no-such-command"],
+    [],
+    ["h2-pipeline", "--direct-max-dim", "3"],  # the flag is gone
+    ["check-mono", "--dim", "1", "--format", "yaml"],
+])
+def test_usage_errors_exit_1(cli, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli(argv)
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["homology", "--help"]])
+def test_help_and_version_exit_0(cli, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli(argv)
+    assert exc.value.code == 0
+
+
+def test_usage_error_exit_code_in_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubehom.cli", "homology"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "--max-dim" in proc.stderr and proc.stdout == ""
 
 
 def test_dump_complex_flag(cli, tmp_path):
