@@ -144,13 +144,8 @@ def compute_e1_page(g, args, results):
 
 
 def table_e1_page(results):
-    lines = []
-    for e in results["entries"]:
-        grp = f"Z^{e['rank']}" if e["rank"] else ""
-        tor = " + ".join(f"Z/{t}" for t in e["torsion"])
-        shown = " + ".join(x for x in (grp, tor) if x) or "0"
-        lines.append(f"E1[{e['p']},{e['q']}] = {shown}")
-    return lines
+    return [f"E1[{e['p']},{e['q']}] = {_group_str(e)}"
+            for e in results["entries"]]
 
 
 def compute_injective_homology(g, args, results):
