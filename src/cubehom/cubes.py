@@ -335,28 +335,18 @@ def singular_cubes(g, n, filt="all", prefix=None):
     lower = [[b ^ (1 << j) for j in range(n) if b & (1 << j)]
              for b in range(size)]
     corners = [0] * size
-    roots = [(v,) for v in range(g.n)] if prefix is None else (prefix,)
-    for root in roots:
-        k = len(root)
-        corners[:k] = root
-        if k == size:
-            t = tuple(corners)
-            if _passes(t, filt):
-                yield t
+    # stack of candidate iterators, one per corner position
+    stack = [None] * size
+    for root in ([(v,) for v in range(g.n)] if prefix is None else (prefix,)):
+        # pin all but the last prefix corner; the walk starts by placing
+        # the last one, its only candidate
+        k = len(root) - 1
+        corners[:k] = root[:k]
+        used = set(root[:k])
+        if inject and (len(used) < k or root[k] in used):
             continue
-        cons = lower[k]
-        cand = closed[corners[cons[0]]]
-        for cidx in cons[1:]:
-            cand = cand & closed[corners[cidx]]
-        if inject:
-            used = set(root)
-            if len(used) < k:
-                continue
-            cand = cand - used
-        # stack of candidate iterators, one per free corner position
-        stack = [None] * size
         b = k
-        stack[k] = iter(sorted(cand))
+        stack[k] = iter((root[k],))
         while b >= k:
             checkpoint()
             it = stack[b]
