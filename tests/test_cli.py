@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import cubehom.cli
+from cubehom.budget import BudgetExhausted
 from cubehom.cli import main
 from cubehom.graphs import cycle_graph, format_edge_list, greene_sphere
 from cubehom.zlinalg import ContractViolation
@@ -156,6 +157,48 @@ def test_budget_exhaustion_exit_code(cli):
     assert code == 2
     doc = json.loads(out)
     assert doc["status"] == "incomplete"
+
+
+def _stop_on_call(monkeypatch, name, stop_at):
+    """Make `cubehom.cli.<name>` run out of budget on call `stop_at`."""
+    orig = getattr(cubehom.cli, name)
+    calls = []
+
+    def stopping(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == stop_at:
+            raise BudgetExhausted("soft time budget exhausted")
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cubehom.cli, name, stopping)
+
+
+def test_partial_results_survive_budget_stop(cli):
+    graph_text = format_edge_list(greene_sphere(4))
+    with pytest.MonkeyPatch.context() as m:
+        _stop_on_call(m, "homology", 3)
+        code, out, _ = cli(["homology", "--max-dim", "3"], graph_text)
+    assert code == 2
+    assert out.splitlines() == ["H_0 = Z", "H_1 = 0", "status: incomplete"]
+    with pytest.MonkeyPatch.context() as m:
+        _stop_on_call(m, "homology", 3)
+        code, out, _ = cli(["homology", "--max-dim", "3", "--format",
+                            "json"], graph_text)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "incomplete"
+    assert [e["n"] for e in doc["results"]["H"]] == [0, 1]
+    assert doc["results"]["chain_ranks"][0] == 10
+
+
+def test_h2_pipeline_partial_table(cli, monkeypatch):
+    graph_text = format_edge_list(greene_sphere(4))
+    _stop_on_call(monkeypatch, "build_cw_complex", 1)
+    code, out, _ = cli(["h2-pipeline"], graph_text)
+    assert code == 2
+    assert out.splitlines() == ["1-quasimonophobic: True",
+                                "2-quasimonophobic: True",
+                                "status: incomplete"]
 
 
 def test_contract_violation_exit_code(cli, monkeypatch):

@@ -300,6 +300,7 @@ def test_prefix_restricts_the_stream(filt):
 def test_injective_prefix_with_repeated_corner_yields_nothing():
     g = hypercube_graph(3)
     assert list(singular_cubes(g, 2, "injective", prefix=(0, 1, 1))) == []
+    assert list(singular_cubes(g, 2, "injective", prefix=(0, 0, 1))) == []
     assert list(singular_cubes(g, 2, "all", prefix=(0, 1, 1))) == \
         [c for c in singular_cubes(g, 2) if c[:3] == (0, 1, 1)]
 
