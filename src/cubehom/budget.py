@@ -29,8 +29,19 @@ class DimensionBudgetError(ValueError):
 
 def set_time_budget(seconds):
     """Install a soft deadline `seconds` from now; None clears it."""
+    set_deadline(None if seconds is None else time.monotonic() + seconds)
+
+
+def deadline():
+    """The soft deadline, a system-wide `time.monotonic()` value, or None."""
+    return _deadline
+
+
+def set_deadline(when):
+    """Install a deadline read by `deadline()`, as worker processes do
+    first with the one in their job arguments; None clears it."""
     global _deadline
-    _deadline = None if seconds is None else time.monotonic() + seconds
+    _deadline = when
 
 
 def clear_time_budget():

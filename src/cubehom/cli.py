@@ -294,6 +294,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low, convert=int):
+    """An argparse type: `convert`, then a usage error below `low`."""
+    def parse(text):
+        value = convert(text)
+        if not value >= low:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    parse.__name__ = convert.__name__  # for argparse's "invalid int value"
+    return parse
+
+
 def _command(sp, name, compute, table, help):
     """Register an analysis command with the flags every one of them
     takes."""
@@ -301,9 +312,9 @@ def _command(sp, name, compute, table, help):
     sub.add_argument("graph", nargs="?", default=None,
                      help="edge-list file (default: standard input)")
     sub.add_argument("--format", choices=("table", "json"), default="table")
-    sub.add_argument("--threads", type=int, default=1,
+    sub.add_argument("--threads", type=_at_least(1), default=1,
                      help="worker processes for enumeration")
-    sub.add_argument("--time-budget", type=float, default=None,
+    sub.add_argument("--time-budget", type=_at_least(0, float), default=None,
                      help="soft wall-clock limit in seconds")
     sub.set_defaults(func=run_command, compute=compute, table=table)
     return sub
@@ -325,7 +336,7 @@ def build_parser():
 
     hom = _command(sp, "homology", compute_homology, table_homology,
                    "discrete cubical homology")
-    hom.add_argument("--max-dim", type=int, required=True,
+    hom.add_argument("--max-dim", type=_at_least(0), required=True,
                      help="build chains through this dimension; reports "
                           "H_0..H_{D-1}")
     hom.add_argument("--dump-complex", default=None,
@@ -334,31 +345,31 @@ def build_parser():
     fil = _command(sp, "filtered-homology", compute_filtered_homology,
                    table_homology,
                    "homology of the degree-at-most-K subcomplex")
-    fil.add_argument("--degree", type=int, required=True)
-    fil.add_argument("--max-dim", type=int, required=True)
+    fil.add_argument("--degree", type=_at_least(0), required=True)
+    fil.add_argument("--max-dim", type=_at_least(0), required=True)
 
     e1 = _command(sp, "e1-page", compute_e1_page, table_e1_page,
                   "first page of the degree spectral sequence")
-    e1.add_argument("--max-total", type=int, required=True)
+    e1.add_argument("--max-total", type=_at_least(0), required=True)
 
     inj = _command(sp, "injective-homology", compute_injective_homology,
                    table_injective_homology,
                    "homology of the injective bottom edge")
-    inj.add_argument("--dim", type=int, required=True)
+    inj.add_argument("--dim", type=_at_least(0), required=True)
 
     einf = _command(sp, "einf", compute_einf, table_einf,
                     "limit page versus the filtration on homology")
-    einf.add_argument("--dim", type=int, required=True)
+    einf.add_argument("--dim", type=_at_least(0), required=True)
 
     cw = _command(sp, "cw-homology", compute_cw_homology, table_cw_homology,
                   "cellular homology of the filled-cube complex")
-    cw.add_argument("--max-dim", type=int, required=True)
+    cw.add_argument("--max-dim", type=_at_least(0), required=True)
     cw.add_argument("--dump-cells", default=None,
                     help="write the cell/boundary JSON dump to this file")
 
     mono = _command(sp, "check-mono", compute_check_mono, table_check_mono,
                     "monophobicity of the n-cubes")
-    mono.add_argument("--dim", type=int, required=True)
+    mono.add_argument("--dim", type=_at_least(0), required=True)
     mono.add_argument("--quasi", action="store_true",
                       help="only noninjective witnesses count")
     mono.add_argument("--certificate", default=None,
@@ -375,7 +386,7 @@ def build_parser():
 
     cmap = _command(sp, "cell-map", compute_cell_map, table_cell_map,
                     "compare cellular chains with the top degree slice")
-    cmap.add_argument("--dim", type=int, required=True)
+    cmap.add_argument("--dim", type=_at_least(0), required=True)
 
     return ap
 

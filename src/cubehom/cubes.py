@@ -9,10 +9,11 @@ when structure matters.
 Coordinates are 1-based in the public face/automorphism operations,
 matching the usual f_i^-/f_i^+ notation.
 
-Faces are read through per-dimension tables: `face_getters(n)` holds one
-precomputed corner-index getter per face of an n-cube, built once per n,
-and `face`, `iter_faces`, `is_degenerate` and the boundary and witness
-loops elsewhere all index it instead of redoing the bit arithmetic.
+Faces and subcubes are read through per-dimension tables built once per
+n: `face_getters(n)` and `subcube_getters(n)` hold one corner-index getter
+per face and per subcube of an n-cube, which `face`, `iter_faces`,
+`cube_degree`, the enumeration filters (bound once per enumeration) and
+the boundary and witness loops index instead of redoing bit arithmetic.
 """
 
 import os
@@ -20,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from .budget import checkpoint
+from .budget import checkpoint, deadline, set_deadline
 
 MINUS, PLUS = 0, 1
 
@@ -91,34 +92,29 @@ def iter_faces(corners):
 
 def is_degenerate(corners):
     """True iff the front and back i-faces coincide for some i."""
-    getters = face_getters(cube_dim(corners))
-    return any(getters[t](corners) == getters[t + 1](corners)
-               for t in range(0, len(getters), 2))
+    return not _cube_filter(cube_dim(corners), "nondegenerate")(corners)
 
 
 def is_injective(corners):
     return len(set(corners)) == len(corners)
 
 
-def _restriction_injective(corners, free_bits, base):
-    seen = set()
-    idx = 0
-    # iterate the subcube through a Gray-code walk over the free bits
-    k = len(free_bits)
-    v = corners[base]
-    if k == 0:
-        return True
-    seen.add(v)
-    gray_prev = 0
-    for m in range(1, 1 << k):
-        gray = m ^ (m >> 1)
-        idx ^= free_bits[(gray ^ gray_prev).bit_length() - 1]
-        gray_prev = gray
-        v = corners[base | idx]
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
+@lru_cache(maxsize=None)
+def subcube_getters(n):
+    """(k, getters) for k = n down to 1: one getter per k-subcube of an
+    n-cube, mapping a corner tuple to the subcube's 2^k corners.  A
+    k-subcube frees k coordinates and fixes each other one to 0 or 1, so
+    there are C(n, k) * 2^(n-k)."""
+    levels = []
+    for k in range(n, 0, -1):
+        getters = []
+        for free in combinations(range(n), k):
+            mask = sum(1 << i for i in free)
+            span = [s for s in range(1 << n) if s & mask == s]
+            getters.extend(itemgetter(*[base | s for s in span])
+                           for base in range(1 << n) if not base & mask)
+        levels.append((k, tuple(getters)))
+    return tuple(levels)
 
 
 def cube_degree(corners):
@@ -129,21 +125,11 @@ def cube_degree(corners):
     is a restriction to a subcube: a set of free coordinates plus a 0/1
     assignment of the fixed ones.
     """
-    n = cube_dim(corners)
-    if len(set(corners)) == len(corners):
-        return n
-    bits = [1 << i for i in range(n)]
-    for k in range(n - 1, 0, -1):
-        for free in combinations(range(n), k):
-            free_bits = [bits[i] for i in free]
-            fixed_bits = [bits[i] for i in range(n) if i not in free]
-            for a in range(1 << (n - k)):
-                base = 0
-                for t, fb in enumerate(fixed_bits):
-                    if a & (1 << t):
-                        base |= fb
-                if _restriction_injective(corners, free_bits, base):
-                    return k
+    for k, getters in subcube_getters(cube_dim(corners)):
+        size = 1 << k
+        for get in getters:
+            if len(set(get(corners))) == size:
+                return k
     return 0
 
 
@@ -300,15 +286,25 @@ def relating_automorphism(sigma, gamma):
 # enumeration of singular cubes
 # ---------------------------------------------------------------------------
 
-def _passes(corners, filt):
-    if filt == "all":
-        return True
+def _cube_filter(n, filt):
+    """The test of `filt` on n-cubes, bound once per enumeration; None
+    when the walk alone decides: "all", and "injective", which the walk
+    keeps injective as it goes."""
+    if filt in ("all", "injective"):
+        return None
     if filt == "nondegenerate":
-        return not is_degenerate(corners)
-    if filt == "injective":
-        return is_injective(corners)
+        getters = face_getters(n)
+        pairs = tuple(zip(getters[::2], getters[1::2]))
+
+        def nondegenerate(corners):
+            for front, back in pairs:
+                if front(corners) == back(corners):
+                    return False
+            return True
+        return nondegenerate
     if isinstance(filt, tuple) and filt[0] == "degree":
-        return cube_degree(corners) == filt[1]
+        k = filt[1]
+        return lambda corners: cube_degree(corners) == k
     raise ValueError(f"unknown filter {filt!r}")
 
 
@@ -329,6 +325,7 @@ def singular_cubes(g, n, filt="all", prefix=None):
     if n < 0:
         raise ValueError("dimension must be non-negative")
     inject = filt == "injective"
+    keep = _cube_filter(n, filt)
     size = 1 << n
     closed = g.closed
     # for each corner, the already-assigned neighbors (indices below it)
@@ -355,9 +352,7 @@ def singular_cubes(g, n, filt="all", prefix=None):
                 corners[b] = v
                 if b + 1 == size:
                     t = tuple(corners)
-                    if inject:
-                        yield t
-                    elif _passes(t, filt):
+                    if keep is None or keep(t):
                         yield t
                     continue
                 cons = lower[b + 1]
@@ -395,12 +390,9 @@ def enumerate_singular_cubes(g, n, filt="all", threads=1):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=_worker_count(threads, g.n)) as pool:
-        chunks = pool.map(_enumerate_chunk,
-                          [(g, n, filt, v) for v in range(g.n)])
-        out = []
-        for chunk in chunks:
-            out.extend(chunk)
-        return out
+        jobs = [(g, n, filt, v, deadline()) for v in range(g.n)]
+        return [c for chunk in pool.map(_enumerate_chunk, jobs)
+                for c in chunk]
 
 
 def _worker_count(threads, n_vertices):
@@ -409,7 +401,8 @@ def _worker_count(threads, n_vertices):
 
 
 def _enumerate_chunk(args):
-    g, n, filt, v = args
+    g, n, filt, v, until = args
+    set_deadline(until)
     return list(singular_cubes(g, n, filt, prefix=(v,)))
 
 
@@ -484,11 +477,6 @@ def cubical_dimension(g, threads=1):
     if g.n == 0:
         raise ValueError("the empty graph contains no cubes")
     n = 0
-    while True:
-        found = False
-        for _ in singular_cubes(g, n + 1, "injective"):
-            found = True
-            break
-        if not found:
-            return n
+    while next(singular_cubes(g, n + 1, "injective"), None) is not None:
         n += 1
+    return n

@@ -12,6 +12,7 @@ inside the full chain groups, which scales to large top dimensions; the
 two routes are cross-checked in the test suite.
 """
 
+from .budget import deadline, set_deadline
 from .chains import (
     _boundary_column,
     degree_quotient_complex,
@@ -374,7 +375,8 @@ def _slice_columns(g, k, n, here_index, prefix=None):
 def _stream_chunk(args):
     """Worker: echelonize one corner-0 chunk of the boundary stream and
     ship only the reduced rows (the chunk's image lattice)."""
-    g, k, n, here, v = args
+    g, k, n, here, v, until = args
+    set_deadline(until)
     here_index = {cube: i for i, cube in enumerate(here)}
     return echelon_from_rows(
         _slice_columns(g, k, n, here_index, (v,)), len(here)).rows
@@ -427,7 +429,7 @@ def quotient_homology(g, k, n, threads=1, early_stop=True):
 
         with ProcessPoolExecutor(
                 max_workers=_worker_count(threads, g.n)) as pool:
-            jobs = [(g, k, n, here, v) for v in range(g.n)]
+            jobs = [(g, k, n, here, v, deadline()) for v in range(g.n)]
             for chunk in pool.map(_stream_chunk, jobs):
                 for col in chunk:
                     img.add(col)

@@ -249,6 +249,50 @@ def test_usage_errors_exit_1(cli, argv):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["homology", "--max-dim", "2", "--threads", "0"], "--threads"),
+    (["homology", "--max-dim", "2", "--threads", "-3"], "--threads"),
+    (["homology", "--max-dim", "2", "--time-budget", "-1"], "--time-budget"),
+    (["homology", "--max-dim", "2", "--time-budget", "nan"], "--time-budget"),
+    (["homology", "--max-dim", "-1"], "--max-dim"),
+    (["filtered-homology", "--degree", "-1", "--max-dim", "2"], "--degree"),
+    (["e1-page", "--max-total", "-1"], "--max-total"),
+    (["injective-homology", "--dim", "-1"], "--dim"),
+    (["einf", "--dim", "-1"], "--dim"),
+    (["cw-homology", "--max-dim", "-2"], "--max-dim"),
+    (["check-mono", "--dim", "-1"], "--dim"),
+    (["cell-map", "--dim", "-1"], "--dim"),
+])
+def test_out_of_range_values_are_usage_errors(cli, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli(argv, format_edge_list(cycle_graph(5)))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["homology", "--max-dim", "two"], "argument --max-dim: invalid int"),
+    (["homology", "--max-dim", "2", "--time-budget", "soon"],
+     "argument --time-budget: invalid float"),
+])
+def test_non_numeric_values_name_flag_and_type(cli, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_range_limits_are_valid(cli):
+    graph_text = format_edge_list(cycle_graph(5))
+    code, out, _ = cli(["homology", "--max-dim", "1", "--threads", "1"],
+                       graph_text)
+    assert code == 0 and out.splitlines() == ["H_0 = Z"]
+    code, out, _ = cli(["homology", "--max-dim", "2", "--time-budget", "0"],
+                       graph_text)
+    assert code == 2 and out.splitlines()[-1] == "status: incomplete"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["--version"],
                                   ["homology", "--help"]])
 def test_help_and_version_exit_0(cli, argv):

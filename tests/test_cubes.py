@@ -1,6 +1,8 @@
 import hashlib
 import os
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -9,6 +11,7 @@ from cubehom.cubes import (
     MINUS,
     PLUS,
     CubeAutomorphism,
+    _cube_filter,
     _worker_count,
     all_automorphisms,
     apply_automorphism,
@@ -26,6 +29,7 @@ from cubehom.cubes import (
     iter_faces,
     relating_automorphism,
     singular_cubes,
+    subcube_getters,
 )
 from cubehom.graphs import (
     Graph,
@@ -150,6 +154,116 @@ def test_degree_basics():
     assert cube_degree((4, 4, 4, 4, 4, 4, 4, 4)) == 0  # constant 3-cube
     assert cube_degree((0, 1, 2, 3, 4, 5, 6, 7)) == 3  # injective 3-cube
     assert cube_degree(K23_WITNESS) == 2
+
+
+def _oracle_restriction_injective(corners, free_bits, base):
+    """The Gray-code walk over one subcube that `cube_degree` ran before
+    the subcube tables."""
+    seen = set()
+    idx = 0
+    k = len(free_bits)
+    v = corners[base]
+    if k == 0:
+        return True
+    seen.add(v)
+    gray_prev = 0
+    for m in range(1, 1 << k):
+        gray = m ^ (m >> 1)
+        idx ^= free_bits[(gray ^ gray_prev).bit_length() - 1]
+        gray_prev = gray
+        v = corners[base | idx]
+        if v in seen:
+            return False
+        seen.add(v)
+    return True
+
+
+def _oracle_injective_subcube(corners, n, k):
+    """Whether some k-subcube of the n-cube `corners` is injective, by the
+    old walk over free coordinates and 0/1 assignments of the fixed ones."""
+    bits = [1 << i for i in range(n)]
+    for free in combinations(range(n), k):
+        free_bits = [bits[i] for i in free]
+        fixed_bits = [bits[i] for i in range(n) if i not in free]
+        for a in range(1 << (n - k)):
+            base = sum(fb for t, fb in enumerate(fixed_bits) if a >> t & 1)
+            if _oracle_restriction_injective(corners, free_bits, base):
+                return True
+    return False
+
+
+def _oracle_degree(corners):
+    n = cube_dim(corners)
+    if len(set(corners)) == len(corners):
+        return n
+    for k in range(n - 1, 0, -1):
+        if _oracle_injective_subcube(corners, n, k):
+            return k
+    return 0
+
+
+def _random_corners(rng, n):
+    """A corner tuple over 1 to 8 values, or an injective one with some
+    corners glued onto others, so that every degree 0..n occurs."""
+    size = 1 << n
+    if rng.random() < 0.5:
+        values = rng.randint(1, 8)
+        return tuple(rng.randrange(values) for _ in range(size))
+    corners = list(range(size))
+    # log-uniform glue count, so that few glues (high degrees) are common
+    for _ in range(int(size ** rng.random()) - 1):
+        corners[rng.randrange(size)] = corners[rng.randrange(size)]
+    return tuple(corners)
+
+
+@pytest.mark.parametrize("name,graph", [
+    ("greene-sphere(4)", lambda: greene_sphere(4)),
+    ("K_{2,3}", lambda: complete_bipartite_graph(2, 3)),
+])
+def test_degree_matches_oracle_on_real_cubes(name, graph):
+    g = graph()
+    for n in range(4):
+        cubes = list(singular_cubes(g, n, "nondegenerate"))
+        assert cubes
+        assert [cube_degree(c) for c in cubes] == \
+            [_oracle_degree(c) for c in cubes]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_degree_matches_oracle_on_random_corners(n):
+    rng = random.Random(1000 + n)
+    seen = set()
+    for _ in range(300):
+        corners = _random_corners(rng, n)
+        d = cube_degree(corners)
+        assert d == _oracle_degree(corners)
+        seen.add(d)
+        # monotone: degree >= j iff some j-subcube is injective
+        for j in range(1, n + 1):
+            assert (d >= j) == _oracle_injective_subcube(corners, n, j)
+    assert seen == set(range(n + 1))
+
+
+def test_subcube_table_sizes():
+    assert subcube_getters(0) == ()
+    for n in range(1, 7):
+        corners = tuple(range(1 << n))
+        levels = subcube_getters(n)
+        assert [k for k, _ in levels] == list(range(n, 0, -1))
+        for k, getters in levels:
+            assert len(getters) == comb(n, k) * 2 ** (n - k)
+            subcubes = set()
+            for get in getters:
+                sub = get(corners)
+                # one corner per assignment of the k free coordinates
+                free = 0
+                for c in sub:
+                    free |= c ^ sub[0]
+                assert len(sub) == 1 << k == len(set(sub))
+                assert free.bit_count() == k
+                assert all(c & ~free == sub[0] & ~free for c in sub)
+                subcubes.add(frozenset(sub))
+            assert len(subcubes) == len(getters)
 
 
 def test_degree_zero_positive_dim_is_degenerate():
@@ -303,6 +417,32 @@ def test_injective_prefix_with_repeated_corner_yields_nothing():
     assert list(singular_cubes(g, 2, "injective", prefix=(0, 0, 1))) == []
     assert list(singular_cubes(g, 2, "all", prefix=(0, 1, 1))) == \
         [c for c in singular_cubes(g, 2) if c[:3] == (0, 1, 1)]
+
+
+@pytest.mark.parametrize("name,graph,n", [
+    ("K_{2,3}", lambda: complete_bipartite_graph(2, 3), 3),
+    ("greene-sphere(4)", lambda: greene_sphere(4), 2),
+    ("Q3", lambda: hypercube_graph(3), 3),
+])
+def test_filter_predicates_match_the_all_stream(name, graph, n):
+    g = graph()
+    every = list(singular_cubes(g, n))
+    tests = {"nondegenerate": lambda c: all(
+                 face(c, i, MINUS) != face(c, i, PLUS) for i in range(1, n + 1)),
+             "injective": is_injective}
+    tests.update({("degree", k): lambda c, k=k: _oracle_degree(c) == k
+                  for k in range(n + 1)})
+    for filt, test in tests.items():
+        keep = _cube_filter(n, filt) or test
+        want = [c for c in every if test(c)]
+        assert [c for c in every if keep(c)] == want
+        assert list(singular_cubes(g, n, filt)) == want
+    assert _cube_filter(n, "all") is None
+
+
+def test_unknown_filter_rejected():
+    with pytest.raises(ValueError, match="unknown filter"):
+        list(singular_cubes(hypercube_graph(2), 2, "noninjective"))
 
 
 def test_degree_filter():

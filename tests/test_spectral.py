@@ -1,6 +1,10 @@
+import time
+
 import pytest
 
-from cubehom.budget import DimensionBudgetError
+from cubehom import budget
+from cubehom.budget import BudgetExhausted, DimensionBudgetError
+from cubehom.cubes import _enumerate_chunk
 from cubehom.chains import homology, normalized_complex
 from cubehom.graphs import (
     Graph,
@@ -10,6 +14,8 @@ from cubehom.graphs import (
     hypercube_graph,
 )
 from cubehom.spectral import (
+    _slice_basis,
+    _stream_chunk,
     bottom_edge_group,
     e1_page,
     edge_map,
@@ -244,6 +250,26 @@ def test_quotient_homology_parallel_agrees():
     a = quotient_homology(g, 1, 1, threads=1)
     b = quotient_homology(g, 1, 1, threads=3)
     assert a.invariants() == b.invariants()
+
+
+@pytest.mark.parametrize("chunk", ["enumerate", "stream"])
+def test_worker_reads_the_deadline_from_its_job(chunk):
+    # a worker started by spawn or forkserver imports budget afresh, so the
+    # deadline must come with the job, not through the module global
+    g = greene_sphere(4)
+    passed = time.monotonic() - 1
+    job = ((g, 2, "nondegenerate", 0, passed) if chunk == "enumerate"
+           else (g, 1, 1, _slice_basis(g, 1, 1), 0, passed))
+    run = _enumerate_chunk if chunk == "enumerate" else _stream_chunk
+    budget.clear_time_budget()
+    try:
+        with pytest.raises(BudgetExhausted):
+            run(job)
+        assert budget.deadline() == passed
+        budget.clear_time_budget()
+        assert run(job[:-1] + (None,))
+    finally:
+        budget.clear_time_budget()
 
 
 def test_classification_matches_presentation_route_on_sphere(sphere4):
