@@ -12,18 +12,21 @@ inside the full chain groups, which scales to large top dimensions; the
 two routes are cross-checked in the test suite.
 """
 
-from .budget import deadline, set_deadline
+from itertools import chain
+
+from .budget import BudgetExhausted
 from .chains import (
     _boundary_column,
     degree_quotient_complex,
     homology,
     homology_presentation,
 )
-from .cubes import _worker_count, cube_degree, singular_cubes
+from .cubes import cube_degree, singular_cubes
 from .zlinalg import (
     AbelianGroup,
     ContractViolation,
     Echelon,
+    GF2Echelon,
     GroupMap,
     axpy,
     dense_to_sparse,
@@ -358,84 +361,166 @@ def h2_exact_sequence(c):
 # streaming slice homology (large top dimensions)
 # ---------------------------------------------------------------------------
 
+# columns one coface stream may try per round of the GF(2) filter
+ROUND_TRIES = 32
+# exact adds between two saturation checks of the exact pass
+CHECK_EVERY = 256
+
+
+class _Progress:
+    """How far a streamed slice homology got, for a budget stop's message."""
+
+    __slots__ = ("phase", "echelon", "cycle_rank", "pulled")
+
+    def __init__(self):
+        self.phase = "slice bases"
+        self.echelon = None
+        self.cycle_rank = None
+        self.pulled = 0
+
+    def __str__(self):
+        if self.echelon is None:
+            return f"in phase {self.phase}"
+        kind = ("GF(2) rank" if isinstance(self.echelon, GF2Echelon)
+                else "exact image rank")
+        return (f"in phase {self.phase} at {kind} {self.echelon.rank:,} of "
+                f"cycle rank {self.cycle_rank:,} after {self.pulled:,} "
+                f"candidates")
+
+
 def _slice_basis(g, k, n):
     return [cube for cube in singular_cubes(g, n, "nondegenerate")
             if cube_degree(cube) == k]
 
 
-def _slice_columns(g, k, n, here_index, prefix=None):
-    """Boundary columns, over the slice basis `here_index`, of the degree-k
-    nondegenerate (n+1)-cubes, optionally only those extending the corner
-    `prefix`."""
-    for cube in singular_cubes(g, n + 1, "nondegenerate", prefix):
-        if cube_degree(cube) == k:
-            yield _boundary_column(cube, n + 1, here_index)
+def _image_quotient(ncols, cycle_rank, column, streams, outside, progress):
+    """Cycles modulo the image, for an image spanned by streamed columns.
 
+    The cycles are a saturated sublattice of Z^ncols of rank `cycle_rank`
+    containing every column.  `column(c)` is a candidate's column, or None
+    when the candidate does not count; candidates come from the iterators
+    in `streams` and then from `outside`.
 
-def _stream_chunk(args):
-    """Worker: echelonize one corner-0 chunk of the boundary stream and
-    ship only the reduced rows (the chunk's image lattice)."""
-    g, k, n, here, v, until = args
-    set_deadline(until)
-    here_index = {cube: i for i, cube in enumerate(here)}
-    return echelon_from_rows(
-        _slice_columns(g, k, n, here_index, (v,)), len(here)).rows
-
-
-def quotient_homology(g, k, n, threads=1, early_stop=True):
-    """H of the degree-k slice at dimension n, streaming dimension n+1.
-
-    Builds the slice bases at n-1 and n, then folds the boundaries of
-    degree-k nondegenerate (n+1)-cubes into an image echelon one cube at
-    a time, never materializing the top chain group.  Intended for the
-    regime where dimension n+1 is too large to hold; with threads > 1 the
-    enumeration and degree filtering fan out over corner-0 chunks and
-    only surviving boundary columns cross the pipe.
-
-    When the image echelon reaches the rank of the cycle lattice with all
-    pivots +-1 it is a saturated equal-rank sublattice of the cycles and
-    therefore equals it, so the homology is zero and the rest of the
-    stream is redundant; `early_stop` stops there.
+    Phase 1 visits the streams round-robin, pulling from each until a
+    column raises the GF(2) rank or ROUND_TRIES columns have failed to, so
+    the admitted columns spread over the whole lattice.  The admitted
+    columns are replayed exactly: rank `cycle_rank` with unit pivots makes
+    the image a saturated sublattice of the cycles of equal rank, hence
+    equal to them, and the group is 0.  Otherwise phase 2 adds every other
+    column exactly once, the ones already pulled first, checking for that
+    saturation every CHECK_EVERY columns.
     """
-    if n < 0 or k < 0:
-        raise ValueError("degree and slice index must be non-negative")
-    below = _slice_basis(g, k, n - 1) if n >= 1 else []
-    below_index = {cube: i for i, cube in enumerate(below)}
-    here = _slice_basis(g, k, n)
-    here_index = {cube: i for i, cube in enumerate(here)}
+    progress.phase = "GF(2) filter"
+    gf2 = progress.echelon = GF2Echelon()
+    admitted, rest = [], []
+    live = streams
+    while live and gf2.rank < cycle_rank:
+        kept = []
+        for it in live:
+            tries = 0
+            for c in it:
+                progress.pulled += 1
+                col = column(c)
+                if col is None:
+                    continue
+                if gf2.add(col):
+                    admitted.append(col)
+                    break
+                rest.append(col)
+                tries += 1
+                if tries == ROUND_TRIES:
+                    break
+            else:
+                continue  # a stream that runs dry leaves the rotation
+            kept.append(it)
+            if gf2.rank == cycle_rank:
+                break
+        live = kept
 
-    out_rank = Echelon(len(below))
-    if n >= 1:
-        for cube in here:
-            out_rank.add(_boundary_column(cube, n, below_index))
-    cycle_rank = len(here) - out_rank.rank
-
-    img = Echelon(len(here))
+    progress.phase = "exact replay"
+    img = progress.echelon = Echelon(ncols)
 
     def saturated():
         return img.rank == cycle_rank and img.has_unit_pivots()
 
-    if threads <= 1:
-        since_check = 0
-        for col in _slice_columns(g, k, n, here_index):
-            img.add(col)
-            since_check += 1
-            if early_stop and since_check >= 256:
-                since_check = 0
-                if saturated():
-                    break
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    # the order changes the basis, not the lattice; columns that end
+    # early first keep the fill-in and the coefficients small
+    for col in sorted(admitted, key=max):
+        img.add(col)
+    if saturated():
+        return AbelianGroup.trivial()
 
-        with ProcessPoolExecutor(
-                max_workers=_worker_count(threads, g.n)) as pool:
-            jobs = [(g, k, n, here, v, deadline()) for v in range(g.n)]
-            for chunk in pool.map(_stream_chunk, jobs):
-                for col in chunk:
-                    img.add(col)
-                if early_stop and saturated():
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    break
+    progress.phase = "exact pass"
 
+    def columns():
+        yield from rest
+        for c in chain(*streams, outside):
+            progress.pulled += 1
+            col = column(c)
+            if col is not None:
+                yield col
+
+    since_check = 0
+    for col in columns():
+        img.add(col)
+        since_check += 1
+        if since_check == CHECK_EVERY:
+            since_check = 0
+            if saturated():
+                return AbelianGroup.trivial()
+    if img.rank > cycle_rank:
+        raise ContractViolation("the image outranks the cycle lattice")
     return AbelianGroup.from_invariants(cycle_rank - img.rank,
                                         lattice_torsion(img))
+
+
+def quotient_homology(g, k, n, threads=1):
+    """H of the degree-k slice at dimension n, streaming dimension n+1.
+
+    Builds the slice bases at n-1 and n and the cycle rank, then streams
+    the degree-k nondegenerate (n+1)-cubes, never materializing the top
+    chain group.  Every such cube has exactly one front n-face (corners
+    0..2^n-1), so the stream splits by front face with no dedupe: one
+    coface stream `singular_cubes(g, n + 1, "nondegenerate", prefix=s)`
+    per slice-basis cube s, and then the cofaces of the other n-cubes of
+    degree at most k (a cube's degree is at least its faces').
+
+    A GF(2) filter over the coface streams picks columns for an exact
+    replay, which settles H = 0 as soon as it reaches the cycle rank with
+    unit pivots; any other outcome takes one exact pass over the rest of
+    the stream, which enumerates, degree-tests and adds each cube once
+    (see `_image_quotient`).  The route runs in one process; `threads` is
+    accepted for the callers that pass it and does not change it.
+
+    A budget stop re-raises BudgetExhausted with the phase, the rank
+    reached against the cycle rank and the candidates pulled.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("degree and slice index must be non-negative")
+    progress = _Progress()
+    try:
+        below = _slice_basis(g, k, n - 1) if n >= 1 else []
+        below_index = {cube: i for i, cube in enumerate(below)}
+        here = _slice_basis(g, k, n)
+        here_index = {cube: i for i, cube in enumerate(here)}
+        out_rank = Echelon(len(below))
+        if n >= 1:
+            for cube in here:
+                out_rank.add(_boundary_column(cube, n, below_index))
+        progress.cycle_rank = len(here) - out_rank.rank
+
+        def column(cube):
+            if cube_degree(cube) == k:
+                return _boundary_column(cube, n + 1, here_index)
+            return None
+
+        streams = [singular_cubes(g, n + 1, "nondegenerate", prefix=front)
+                   for front in here]
+        outside = (cube for front in singular_cubes(g, n, "all")
+                   if front not in here_index and cube_degree(front) <= k
+                   for cube in singular_cubes(g, n + 1, "nondegenerate",
+                                              prefix=front))
+        return _image_quotient(len(here), progress.cycle_rank, column,
+                               streams, outside, progress)
+    except BudgetExhausted as e:
+        raise BudgetExhausted(f"slice homology stopped {progress}") from e

@@ -2,9 +2,10 @@
 
 Everything here runs on arbitrary-precision Python ints: Smith and Hermite
 normal forms, echelonized lattice bases, and finitely presented abelian
-groups with homomorphisms between them.  No floating point, no modular
-shortcuts; intermediate entry growth is controlled by minimal-pivot
-selection, not truncated.
+groups with homomorphisms between them.  No floating point; intermediate
+entry growth is controlled by minimal-pivot selection, not truncated.  The
+one modular tool, `GF2Echelon`, only picks which vectors an exact
+computation should see first; no answer is read off it.
 
 Vectors over a fixed ambient Z^n appear in two shapes: dense lists of
 ints, and sparse {index: coeff} dicts (zero coefficients never stored).
@@ -16,8 +17,8 @@ module; the other modules call it rather than update, reduce or quotient
 vectors themselves.  The kernel is small: `axpy` updates a sparse vector,
 `Echelon.add` grows a lattice and `Echelon._walk` reduces against one,
 `split_echelon` splits a stacked lattice, `quotient_in` presents one
-lattice modulo a sublattice, and `lattice_torsion` reads the torsion of a
-quotient of Z^n.
+lattice modulo a sublattice, `lattice_torsion` reads the torsion of a
+quotient of Z^n, and `GF2Echelon.add` tracks a rank modulo 2.
 """
 
 from bisect import bisect_left
@@ -218,6 +219,63 @@ class Echelon:
         for row, j in zip(self.rows, self.pivots):
             if row[j] not in (1, -1):
                 return False
+        return True
+
+
+class GF2Echelon:
+    """Row space over GF(2), rows held as Python ints, bit i being
+    coordinate i.
+
+    Rows are kept fully reduced and keyed by their pivot, the lowest set
+    bit: no row has another row's pivot bit set.  A vector therefore
+    reduces with one XOR per pivot bit it has, whatever order the rows
+    came in, which keeps sparse vectors cheap however long the basis
+    grows.  Admitting a row clears its pivot from the rows that have it;
+    `holders` maps each non-pivot coordinate to the mask of the pivots
+    whose rows have it, so those rows are found without a scan.
+    """
+
+    __slots__ = ("rows", "holders")
+
+    def __init__(self):
+        self.rows = {}
+        self.holders = {}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add(self, vec):
+        """Add a sparse integer vector, reduced modulo 2, to the span;
+        True iff the rank rose."""
+        rows = self.rows
+        rest = 0
+        for k, v in vec.items():
+            if v & 1:
+                rest ^= 1 << k
+                row = rows.get(k)
+                if row is not None:
+                    rest ^= row
+        if not rest:
+            return False
+        low = rest & -rest
+        pivot = low.bit_length() - 1
+        hit = self.holders.pop(pivot, 0)
+        mask = hit
+        while mask:
+            bit = mask & -mask
+            rows[bit.bit_length() - 1] ^= rest
+            mask ^= bit
+        # rows in `hit` toggle the other coordinates of `rest`, and the
+        # new row (mask bit `low`) takes them all
+        holders = self.holders
+        others = rest ^ low
+        while others:
+            bit = others & -others
+            k = bit.bit_length() - 1
+            holders[k] = holders.get(k, 0) ^ hit ^ low
+            others ^= bit
+        rows[pivot] = rest
         return True
 
 

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 9 is a stretch computation; it honors the soft budget
-in CUBEHOM_STRETCH_SECONDS (default 120) and reporting "incomplete"
-within that budget is an accepted outcome.
+lines.  Criterion 9 is the stretch computation: H_3 = 0 through the
+degree-2 slice, which takes about 8 s on one core and must finish inside
+the default 120 s budget.  CUBEHOM_STRETCH_SECONDS sets the budget; only a
+budget set below the default makes "incomplete" an accepted outcome.
 """
 
 import io
@@ -228,18 +229,23 @@ def test_criterion_8_property_suites(property_rng):
 
 
 def test_criterion_9_stretch_h3():
-    budget = float(os.environ.get("CUBEHOM_STRETCH_SECONDS", "120"))
+    default = 120.0
+    budget = float(os.environ.get("CUBEHOM_STRETCH_SECONDS", default))
     g = greene_sphere(4)
     assert is_triangle_free(g) and cubical_dimension(g) == 2
+    t0 = time.time()
     set_time_budget(budget)
     try:
         h3 = quotient_homology(g, 2, 3)
-    except BudgetExhausted:
+    except BudgetExhausted as e:
+        if budget >= default:
+            pytest.fail(f"criterion 9 incomplete within {budget:.0f}s: {e}")
         report(9, f"stretch H_3 computation reported incomplete within "
-                  f"the {budget:.0f}s soft budget (accepted outcome)")
+                  f"the {budget:.0f}s soft budget, set below the default "
+                  f"{default:.0f}s ({e})")
         return
     finally:
         clear_time_budget()
     assert h3.is_trivial
-    report(9, "H_3(greene-sphere(4)) = 0 via the degree-2 slice at "
-              "dimension 3")
+    report(9, f"H_3(greene-sphere(4)) = 0 via the degree-2 slice at "
+              f"dimension 3 ({time.time() - t0:.1f}s <= {budget:.0f}s)")

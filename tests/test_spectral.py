@@ -1,8 +1,9 @@
+import re
 import time
 
 import pytest
 
-from cubehom import budget
+from cubehom import budget, cubes, zlinalg
 from cubehom.budget import BudgetExhausted, DimensionBudgetError
 from cubehom.cubes import _enumerate_chunk
 from cubehom.chains import homology, normalized_complex
@@ -14,8 +15,8 @@ from cubehom.graphs import (
     hypercube_graph,
 )
 from cubehom.spectral import (
-    _slice_basis,
-    _stream_chunk,
+    _Progress,
+    _image_quotient,
     bottom_edge_group,
     e1_page,
     edge_map,
@@ -26,7 +27,7 @@ from cubehom.spectral import (
     page_to_json,
     quotient_homology,
 )
-from cubehom.zlinalg import GroupMap
+from cubehom.zlinalg import ContractViolation, Echelon, GF2Echelon, GroupMap
 
 
 def petersen():
@@ -235,39 +236,123 @@ def test_h2_sequence_solid_cube():
 # ---------------------------------------------------------------------------
 
 def test_quotient_homology_matches_page(sphere4):
+    graphs = [(cycle_graph(5), None), (cycle_graph(6), None),
+              (cycle_graph(7), None), (complete_bipartite_graph(2, 3), None),
+              (hypercube_graph(3), None), (petersen(), None),
+              (greene_sphere(4), sphere4)]
+    for g, c in graphs:
+        page = e1_page(c or normalized_complex(g, 3), 2)
+        for n in range(3):
+            for k in range(n + 2):
+                assert quotient_homology(g, k, n).invariants() == \
+                    page.entry(k, n - k).invariants(), (g.n, k, n)
+
+
+def _hand_built(columns, ncols, cycle_rank, streams=1):
+    """`_image_quotient` on literal columns dealt round-robin over
+    `streams` coface streams, with nothing outside them."""
+    deal = [iter(columns[i::streams]) for i in range(streams)]
+    return _image_quotient(ncols, cycle_rank, dict, deal, iter(()),
+                           _Progress()).invariants()
+
+
+def test_image_quotient_full_gf2_rank_with_a_non_unit_pivot():
+    # 3 e_0 reaches the cycle rank modulo 2 but spans an index-3
+    # sublattice: the replay must not read that as H = 0
+    assert _hand_built([{0: 3}], 1, 1) == (0, (3,))
+    # the exact pass then finds the column that saturates it
+    assert _hand_built([{0: 3}, {0: 2}], 1, 1) == (0, ())
+    assert _hand_built([{0: 1, 1: 2}, {0: 1, 1: -1}, {1: 3}], 2, 2,
+                       streams=2) == (0, (3,))
+
+
+def test_replay_with_a_non_unit_pivot_on_a_path(monkeypatch):
+    # found by search: on this labeling of the path 0-2-1-3 the GF(2)
+    # filter reaches the cycle rank of E1[1,2], the exact replay keeps a
+    # non-unit pivot, and the exact pass then saturates the image.  The
+    # full first page (447,342 4-cubes, minutes) also gives E1[1,2] = 0.
+    checks, gf2_rank = [], [0]
+    unit, add = Echelon.has_unit_pivots, GF2Echelon.add
+
+    def has_unit_pivots(ech):
+        checks.append((ech.rank, unit(ech)))
+        return checks[-1][1]
+
+    def gf2_add(ech, vec):
+        rose = add(ech, vec)
+        gf2_rank[0] = ech.rank
+        return rose
+
+    monkeypatch.setattr(Echelon, "has_unit_pivots", has_unit_pivots)
+    monkeypatch.setattr(GF2Echelon, "add", gf2_add)
+    g = Graph(4, [(0, 2), (1, 2), (1, 3)])
+    assert quotient_homology(g, 1, 3).is_trivial
+    # the first saturation check is the replay's, at the GF(2) rank
+    assert checks[0] == (gf2_rank[0], False)
+
+
+def test_image_quotient_streams_dry_below_the_cycle_rank():
+    # 2 e_0 is 0 modulo 2; the exact pass sees it and the torsion
+    assert _hand_built([{0: 2}, {1: 1}], 2, 2) == (0, (2,))
+    assert _hand_built([{1: 1}], 2, 2, streams=3) == (1, ())
+
+
+def test_image_quotient_rejects_columns_outside_the_cycles():
+    with pytest.raises(ContractViolation, match="outranks"):
+        _hand_built([{0: 2}, {1: 2}], 2, 1, streams=2)
+
+
+def _stop_at_call(monkeypatch, k):
+    """Make the K-th budget checkpoint raise; returns the call counter."""
+    calls = [0]
+
+    def checkpoint():
+        calls[0] += 1
+        if calls[0] == k:
+            raise BudgetExhausted("soft time budget exhausted")
+
+    monkeypatch.setattr(cubes, "checkpoint", checkpoint)
+    monkeypatch.setattr(zlinalg, "checkpoint", checkpoint)
+    return calls
+
+
+def test_budget_stop_reports_the_phase_and_the_ranks(monkeypatch, sphere4):
     g = greene_sphere(4)
-    page = e1_page(sphere4, 2)
-    assert quotient_homology(g, 2, 2).invariants() == \
-        page.entry(2, 0).invariants()
-    assert quotient_homology(g, 1, 2).invariants() == \
-        page.entry(1, 1).invariants()
-    assert quotient_homology(g, 1, 1).invariants() == \
-        page.entry(1, 0).invariants()
+    # no degree-2 1-cubes: every degree-2 square is a cycle of the slice
+    cycle_rank = sum(d == 2 for d in sphere4.degrees[2])
+    total = _stop_at_call(monkeypatch, 0)
+    assert quotient_homology(g, 2, 2).invariants() == (8, ())
+    phases = set()
+    for k in range(1, total[0] + 1, total[0] // 12):
+        _stop_at_call(monkeypatch, k)
+        with pytest.raises(BudgetExhausted) as info:
+            quotient_homology(g, 2, 2)
+        err = info.value
+        assert isinstance(err.__cause__, BudgetExhausted)
+        msg = str(err)
+        phase = msg.split("in phase ")[1].split(" at ")[0]
+        phases.add(phase)
+        if phase != "slice bases":
+            rank, cycles, pulled = (int(x.replace(",", "")) for x in re.match(
+                r".* rank ([\d,]+) of cycle rank ([\d,]+) after ([\d,]+) "
+                r"candidates$", msg).groups())
+            assert cycles == cycle_rank and rank <= cycle_rank
+            assert 0 < pulled <= 21552
+    assert phases == {"slice bases", "GF(2) filter", "exact pass"}
 
 
-def test_quotient_homology_parallel_agrees():
-    g = cycle_graph(6)
-    a = quotient_homology(g, 1, 1, threads=1)
-    b = quotient_homology(g, 1, 1, threads=3)
-    assert a.invariants() == b.invariants()
-
-
-@pytest.mark.parametrize("chunk", ["enumerate", "stream"])
-def test_worker_reads_the_deadline_from_its_job(chunk):
+def test_worker_reads_the_deadline_from_its_job():
     # a worker started by spawn or forkserver imports budget afresh, so the
     # deadline must come with the job, not through the module global
-    g = greene_sphere(4)
     passed = time.monotonic() - 1
-    job = ((g, 2, "nondegenerate", 0, passed) if chunk == "enumerate"
-           else (g, 1, 1, _slice_basis(g, 1, 1), 0, passed))
-    run = _enumerate_chunk if chunk == "enumerate" else _stream_chunk
+    job = (greene_sphere(4), 2, "nondegenerate", 0, passed)
     budget.clear_time_budget()
     try:
         with pytest.raises(BudgetExhausted):
-            run(job)
+            _enumerate_chunk(job)
         assert budget.deadline() == passed
         budget.clear_time_budget()
-        assert run(job[:-1] + (None,))
+        assert _enumerate_chunk(job[:-1] + (None,))
     finally:
         budget.clear_time_budget()
 

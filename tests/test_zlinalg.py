@@ -7,6 +7,7 @@ from cubehom.zlinalg import (
     AbelianGroup,
     ContractViolation,
     Echelon,
+    GF2Echelon,
     GroupMap,
     IntMatrix,
     axpy,
@@ -521,3 +522,42 @@ def test_echelon_checks_budget_per_vector():
             split_echelon([({j: 1}, {}) for j in range(3)], 3, 0)
     finally:
         clear_time_budget()
+
+
+def _mod2_rank_by_lists(cols, n):
+    """Rank over GF(2) by plain elimination on 0/1 lists."""
+    rows = []
+    for col in cols:
+        v = [col.get(i, 0) % 2 for i in range(n)]
+        for row in rows:
+            lead = row.index(1)
+            if v[lead]:
+                v = [a ^ b for a, b in zip(v, row)]
+        if any(v):
+            rows.append(v)
+    return len(rows)
+
+
+def test_gf2_echelon_matches_list_elimination_random():
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        density = rng.choice((0.05, 0.2, 0.5))
+        cols = [{i: rng.choice((-3, -2, -1, 1, 2, 3)) for i in range(n)
+                 if rng.random() < density}
+                for _ in range(rng.randint(1, 2 * n))]
+        ech = GF2Echelon()
+        for j, col in enumerate(cols):
+            rose = _mod2_rank_by_lists(cols[:j + 1], n) \
+                > _mod2_rank_by_lists(cols[:j], n)
+            assert ech.add(col) is rose
+            assert ech.rank == _mod2_rank_by_lists(cols[:j + 1], n)
+        # fully reduced: each pivot bit is set in exactly one row, and
+        # `holders` lists the rows of every other coordinate
+        for pivot, row in ech.rows.items():
+            assert row & -row == 1 << pivot
+            assert sum(r >> pivot & 1 for r in ech.rows.values()) == 1
+        for k in range(n):
+            if k not in ech.rows:
+                mask = sum(1 << p for p, r in ech.rows.items() if r >> k & 1)
+                assert ech.holders.get(k, 0) == mask
