@@ -74,7 +74,5 @@ from .spectral import (
 from .zlinalg import (
     AbelianGroup,
     GroupMap,
-    IntMatrix,
-    hermite_normal_form,
     smith_normal_form,
 )

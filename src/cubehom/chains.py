@@ -138,12 +138,11 @@ def _in_out(c, n):
     return d_in, d_out
 
 
-def homology(c, n, presentation=False):
+def homology(c, n):
     """H_n of the complex; requires boundaries through degree n+1."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    d_in, d_out = _in_out(c, n)
-    return subquotient_homology(d_in, d_out, presentation=presentation)
+    return subquotient_homology(*_in_out(c, n))
 
 
 def homology_presentation(c, n):

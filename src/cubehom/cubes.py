@@ -471,7 +471,7 @@ def cube_subgraphs(g, n, threads=1):
     return order
 
 
-def cubical_dimension(g, threads=1):
+def cubical_dimension(g):
     """Largest n for which an n-cube subgraph (equivalently, an injective
     singular n-cube) exists."""
     if g.n == 0:

@@ -1,16 +1,17 @@
 """Exact linear algebra over the integers.
 
-Everything here runs on arbitrary-precision Python ints: Smith and Hermite
-normal forms, echelonized lattice bases, and finitely presented abelian
-groups with homomorphisms between them.  No floating point; intermediate
-entry growth is controlled by minimal-pivot selection, not truncated.  The
-one modular tool, `GF2Echelon`, only picks which vectors an exact
-computation should see first; no answer is read off it.
+Everything here runs on arbitrary-precision Python ints: echelonized
+lattice bases, the invariant factors of a lattice, and finitely presented
+abelian groups with homomorphisms between them.  No floating point;
+intermediate entry growth is controlled by minimal-pivot selection, not
+truncated.  The one modular tool, `GF2Echelon`, only picks which vectors
+an exact computation should see first; no answer is read off it.
 
-Vectors over a fixed ambient Z^n appear in two shapes: dense lists of
-ints, and sparse {index: coeff} dicts (zero coefficients never stored).
-Lattices are held as `Echelon` objects: row bases sorted by strictly
-increasing pivot column.
+Vectors over a fixed ambient Z^n are sparse {index: coeff} dicts (zero
+coefficients never stored), and a matrix is a list of them, by rows or by
+columns; dense lists are accepted only as input vectors and returned only as
+coefficient lists.  Lattices are held as `Echelon` objects: row bases
+sorted by strictly increasing pivot column.
 
 All sparse-vector and lattice arithmetic of the package lives in this
 module; the other modules call it rather than update, reduce or quotient
@@ -18,7 +19,9 @@ vectors themselves.  The kernel is small: `axpy` updates a sparse vector,
 `Echelon.add` grows a lattice and `Echelon._walk` reduces against one,
 `split_echelon` splits a stacked lattice, `quotient_in` presents one
 lattice modulo a sublattice, `lattice_torsion` reads the torsion of a
-quotient of Z^n, and `GF2Echelon.add` tracks a rank modulo 2.
+quotient of Z^n from the echelon rows whose pivot is not +-1, through the
+transform-free `smith_normal_form`, and `GF2Echelon.add` tracks a rank
+modulo 2.
 """
 
 from bisect import bisect_left
@@ -27,67 +30,8 @@ from .budget import checkpoint
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
+# sparse vectors and echelonized lattice bases
 # ---------------------------------------------------------------------------
-
-class IntMatrix:
-    """Dense integer matrix, row-major."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows, cols, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            data = [[0] * cols for _ in range(rows)]
-        else:
-            assert len(data) == rows and all(len(r) == cols for r in data)
-        self.data = data
-
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    @classmethod
-    def from_rows(cls, rows, cols):
-        return cls(len(rows), cols, [list(r) for r in rows])
-
-    def column(self, j):
-        return [row[j] for row in self.data]
-
-    def __mul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        out = IntMatrix(self.rows, other.cols)
-        for i, row in enumerate(self.data):
-            orow = out.data[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.data[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
-        return out
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def is_zero(self):
-        return all(not v for row in self.data for v in row)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.shape == other.shape
-                and self.data == other.data)
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols})"
-
 
 def _xgcd(a, b):
     """Return (g, x, y) with g = gcd(a,b) >= 0 and x*a + y*b = g."""
@@ -101,10 +45,6 @@ def _xgcd(a, b):
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
 
-
-# ---------------------------------------------------------------------------
-# sparse vectors and echelonized lattice bases
-# ---------------------------------------------------------------------------
 
 def axpy(dst, a, src):
     """dst += a * src on sparse vectors, in place; zero entries are
@@ -209,10 +149,6 @@ class Echelon:
         coeffs = [0] * len(self.rows)
         return None if self._walk(vec, coeffs) else coeffs
 
-    def basis_rows(self):
-        """Dense copies of the basis rows."""
-        return [sparse_to_dense(r, self.ncols) for r in self.rows]
-
     def has_unit_pivots(self):
         """True when every pivot entry is +-1, in which case the lattice is
         a direct summand of Z^ncols and its cokernel is free."""
@@ -279,13 +215,6 @@ class GF2Echelon:
         return True
 
 
-def sparse_to_dense(vec, n):
-    out = [0] * n
-    for k, v in vec.items():
-        out[k] = v
-    return out
-
-
 def dense_to_sparse(vec):
     return {i: v for i, v in enumerate(vec) if v}
 
@@ -332,171 +261,59 @@ def kernel_echelon(columns, nrows, ncols):
     return ker
 
 
-def matrix_columns_sparse(m):
-    """Sparse columns of an IntMatrix."""
-    cols = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.data):
-        for j, v in enumerate(row):
-            if v:
-                cols[j][i] = v
-    return cols
-
-
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms
+# Smith normal form
 # ---------------------------------------------------------------------------
 
-def hermite_normal_form(m):
-    """Row-style Hermite normal form.
+def smith_normal_form(rows):
+    """Invariant factors d1 | d2 | ... of the lattice spanned by the sparse
+    `rows` (not modified), in increasing order, units included.
 
-    Returns (H, U) with H = U*m, U unimodular, pivots positive, entries
-    above each pivot reduced into [0, pivot), zero rows at the bottom.
+    No transforms are kept.  Each pivot is an entry of minimal absolute
+    value, which limits entry growth.  Row operations clear the pivot
+    column with `axpy`; column operations clear the pivot row and touch
+    only the rows that meet the pivot column.  A nonzero remainder is the
+    next, smaller pivot.  A cleared pivot that does not divide every entry
+    left has a row that breaks divisibility folded into its own row, and
+    goes again.  The time budget is checked once per pivot.
     """
-    r, c = m.rows, m.cols
-    ech = Echelon(c + r)
-    for i, row in enumerate(m.data):
-        vec = dense_to_sparse(row)
-        vec[c + i] = 1
-        ech.add(vec)
-    assert ech.rank == r
-    work = [sparse_to_dense(row, c + r) for row in ech.rows]
-    # pure-transform rows (zero matrix part) sink to the bottom
-    head = [w for w, p in zip(work, ech.pivots) if p < c]
-    tail = [w for w, p in zip(work, ech.pivots) if p >= c]
-    work = head + tail
-    for i, row in enumerate(head):
-        piv = next(j for j in range(c) if row[j])
-        if row[piv] < 0:
-            work[i] = row = [-v for v in row]
-        for ii in range(i):
-            above = work[ii]
-            q = above[piv] // row[piv]
-            if q:
-                work[ii] = [av - q * rv for av, rv in zip(above, row)]
-    h = IntMatrix.from_rows([w[:c] for w in work], c)
-    u = IntMatrix.from_rows([w[c:] for w in work], r)
-    return h, u
+    def size(entry):
+        return abs(entry[0][entry[1]])
 
-
-def smith_normal_form(m):
-    """Smith normal form with transforms: returns (U, D, V), D = U*m*V.
-
-    U, V are unimodular; D is diagonal with d1 | d2 | ... >= 0.  Pivots are
-    chosen by minimal absolute value to limit intermediate entry growth.
-    """
-    r, c = m.rows, m.cols
-    d = [row[:] for row in m.data]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
-
-    def row_op(i1, i2, q):
-        # row i2 -= q * row i1
-        d1, d2 = d[i1], d[i2]
-        u1, u2 = u[i1], u[i2]
-        for j in range(c):
-            d2[j] -= q * d1[j]
-        for j in range(r):
-            u2[j] -= q * u1[j]
-
-    def col_op(j1, j2, q):
-        for row in d:
-            row[j2] -= q * row[j1]
-        for row in v:
-            row[j2] -= q * row[j1]
-
-    def swap_rows(i1, i2):
-        d[i1], d[i2] = d[i2], d[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for row in d:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def find_pivot(k):
-        best = None
-        for i in range(k, r):
-            row = d[i]
-            for j in range(k, c):
-                a = abs(row[j])
-                if a and (best is None or a < best[0]):
-                    best = (a, i, j)
-                    if a == 1:
-                        return best
-        return best
-
-    n = min(r, c)
-    for k in range(n):
+    rows = [dict(r) for r in rows if r]
+    factors = []
+    while rows:
         checkpoint()
+        p, j = min(((r, k) for r in rows for k in r), key=size)
         while True:
-            best = find_pivot(k)
-            if best is None:
+            a = p[j]
+            for r in rows:
+                if r is not p and j in r:
+                    axpy(r, -(r[j] // a), p)
+            meet = [r for r in rows if j in r]
+            for k in [k for k in p if k != j]:
+                q = p[k] // a
+                if q:
+                    # column k -= q * column j
+                    for r in meet:
+                        w = r.get(k, 0) - q * r[j]
+                        if w:
+                            r[k] = w
+                        else:
+                            r.pop(k, None)
+            rest = [(r, j) for r in meet if r is not p]
+            rest += [(p, k) for k in p if k != j]
+            if rest:
+                p, j = min(rest, key=size)
+                continue
+            bad = next((r for r in rows if any(v % a for v in r.values())),
+                       None)
+            if bad is None:
                 break
-            _, i, j = best
-            if i != k:
-                swap_rows(k, i)
-            if j != k:
-                swap_cols(k, j)
-            dirty = False
-            for i in range(k + 1, r):
-                if d[i][k]:
-                    q = d[i][k] // d[k][k]
-                    row_op(k, i, q)
-                    if d[i][k]:
-                        dirty = True
-            for j in range(k + 1, c):
-                if d[k][j]:
-                    q = d[k][j] // d[k][k]
-                    col_op(k, j, q)
-                    if d[k][j]:
-                        dirty = True
-            if not dirty:
-                clean = (all(not d[i][k] for i in range(k + 1, r))
-                         and all(not d[k][j] for j in range(k + 1, c)))
-                if clean:
-                    break
-
-    # enforce the divisibility chain d_k | d_{k+1}
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n - 1):
-            a, b = d[k][k], d[k + 1][k + 1]
-            violates = (b % a != 0) if a else (b != 0)
-            if violates:
-                # fold entry (k+1,k+1) into column k, rediagonalize the 2x2
-                col_op(k + 1, k, -1)   # col k += col k+1
-                g, x, y = _xgcd(a, b)
-                # rows: [x y; -b/g a/g] on rows (k, k+1)
-                ag, bg = a // g, b // g
-                dk, dk1 = d[k], d[k + 1]
-                uk, uk1 = u[k], u[k + 1]
-                for j in range(c):
-                    p, q = dk[j], dk1[j]
-                    dk[j], dk1[j] = x * p + y * q, -bg * p + ag * q
-                for j in range(r):
-                    p, q = uk[j], uk1[j]
-                    uk[j], uk1[j] = x * p + y * q, -bg * p + ag * q
-                # clear the remaining off-diagonal entry in column k+1
-                q = d[k][k + 1] // d[k][k]
-                col_op(k, k + 1, q)
-                assert d[k][k + 1] == 0 and d[k + 1][k] == 0
-                changed = True
-    for k in range(n):
-        if d[k][k] < 0:
-            for j in range(c):
-                d[k][j] = -d[k][j]
-            for j in range(r):
-                u[k][j] = -u[k][j]
-    return (IntMatrix.from_rows(u, r), IntMatrix.from_rows(d, c),
-            IntMatrix.from_rows(v, c))
-
-
-def invariant_factors(m):
-    """Nonzero diagonal of the Smith form, as a divisibility chain."""
-    _, d, _ = smith_normal_form(m)
-    return [d.data[k][k] for k in range(min(m.rows, m.cols)) if d.data[k][k]]
+            axpy(p, 1, bad)
+        factors.append(abs(a))
+        rows = [r for r in rows if r and r is not p]
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +331,27 @@ def lattice_preimage(columns, ncols, target):
 
 def lattice_torsion(ech):
     """Invariant-factor torsion of Z^ncols / L(ech); empty without a Smith
-    form when every pivot is +-1."""
+    form when every pivot is +-1.
+
+    The rows with a +-1 pivot span a direct summand U, so Z^ncols / U is
+    free on the columns that are not their pivots.  Each other row is
+    reduced modulo U onto those columns, unit pivots in increasing column
+    order (a unit row has no entry left of its pivot, so a cleared column
+    stays clear), and only these few rows reach `smith_normal_form`."""
     if ech.has_unit_pivots():
         return ()
-    facs = invariant_factors(IntMatrix.from_rows(ech.basis_rows(), ech.ncols))
-    return tuple(f for f in facs if f != 1)
+    units, rest = [], []
+    for row, j in zip(ech.rows, ech.pivots):
+        if row[j] in (1, -1):
+            units.append((j, row))
+        else:
+            rest.append(dict(row))
+    for j, unit in units:
+        for vec in rest:
+            c = vec.get(j)
+            if c:
+                axpy(vec, -c * unit[j], unit)
+    return tuple(f for f in smith_normal_form(rest) if f != 1)
 
 
 def quotient_in(top, sub_rows, what):
@@ -703,43 +536,35 @@ def homology_at(f_in, f_out):
 
 
 def quotient_group(ambient_rank, relations):
-    """Z^ambient_rank modulo the row space of `relations` (IntMatrix,
-    iterable of rows, or Echelon)."""
-    if isinstance(relations, IntMatrix):
-        if relations.cols != ambient_rank:
-            raise ValueError("relation width does not match ambient rank")
-        relations = relations.data
-    return AbelianGroup(ambient_rank, relations if isinstance(relations, Echelon)
-                        else echelon_from_rows(relations, ambient_rank))
+    """Z^ambient_rank modulo the span of `relations` (an Echelon, or an
+    iterable of dense or sparse rows)."""
+    return AbelianGroup(ambient_rank, relations)
 
 
-def subquotient_homology(d_in, d_out, presentation=False):
-    """Homology ker(d_out)/im(d_in) of composable integer matrices.
+def subquotient_homology(d_in, d_out):
+    """Homology ker(d_out)/im(d_in) of composable integer matrices, each a
+    (sparse_columns, nrows, ncols) triple; `d_in` enters the middle degree
+    and `d_out` leaves it.  Requires d_out o d_in = 0 and checks it.
 
-    `d_in` enters the middle degree, `d_out` leaves it; both may be
-    IntMatrix or a (sparse_columns, nrows, ncols) triple.  Requires
-    d_out o d_in = 0 and checks it.
-
-    With presentation=True the returned group's generators are a kernel
-    basis of d_out with the image expressed in those coordinates (see
-    `subquotient_presentation` for the generator data).  The default
-    classifies the group from ranks and the image lattice, which gives
-    the same isomorphism type and is cheaper.
-    """
-    if presentation:
-        group, _, _ = subquotient_presentation(d_in, d_out)
-        return group
-    return _subquotient_classify(d_in, d_out)
-
-
-def _as_sparse_cols(d):
-    if isinstance(d, IntMatrix):
-        return matrix_columns_sparse(d), d.rows, d.cols
-    return d
+    The group is classified from ranks: the free rank is the middle
+    dimension less the ranks of d_out and d_in, and the torsion is that
+    of the middle group modulo the image lattice (`lattice_torsion`).
+    `subquotient_presentation` gives the same group with generators."""
+    _check_composable(d_in, d_out)
+    in_cols, mid, _ = d_in
+    out_cols, out_rows, _ = d_out
+    img = echelon_from_rows(in_cols, mid)
+    out_rank = echelon_from_rows(out_cols, out_rows).rank
+    return AbelianGroup.from_invariants(mid - out_rank - img.rank,
+                                        lattice_torsion(img))
 
 
-def _check_composable(in_cols, out_cols):
+def _check_composable(d_in, d_out):
     # exact check that d_out o d_in = 0, column by column
+    in_cols, mid, _ = d_in
+    out_cols, _, out_ncols = d_out
+    if mid != out_ncols:
+        raise ValueError("boundary matrices are not composable")
     for col in in_cols:
         acc = {}
         for j, a in col.items():
@@ -748,28 +573,13 @@ def _check_composable(in_cols, out_cols):
             raise ContractViolation("boundary of a boundary is nonzero")
 
 
-def _subquotient_classify(d_in, d_out):
-    in_cols, in_rows, in_ncols = _as_sparse_cols(d_in)
-    out_cols, out_rows, out_ncols = _as_sparse_cols(d_out)
-    if in_rows != out_ncols:
-        raise ValueError("boundary matrices are not composable")
-    _check_composable(in_cols, out_cols)
-    img = echelon_from_rows(in_cols, in_rows)
-    out_rank = echelon_from_rows(out_cols, out_rows).rank
-    return AbelianGroup.from_invariants(in_rows - out_rank - img.rank,
-                                        lattice_torsion(img))
-
-
 def subquotient_presentation(d_in, d_out):
     """As subquotient_homology, but returns (group, kernel, relation_rows):
     the group's generators are the kernel basis rows of d_out (an Echelon)
     and relation_rows is the image lattice written in those coordinates."""
-    in_cols, in_rows, in_ncols = _as_sparse_cols(d_in)
-    out_cols, out_rows, out_ncols = _as_sparse_cols(d_out)
-    if in_rows != out_ncols:
-        raise ValueError("boundary matrices are not composable")
-    _check_composable(in_cols, out_cols)
-    ker = kernel_echelon(out_cols, out_rows, out_ncols)
-    group, rels = quotient_in(ker, echelon_from_rows(in_cols, in_rows).rows,
+    _check_composable(d_in, d_out)
+    in_cols, mid, _ = d_in
+    ker = kernel_echelon(*d_out)
+    group, rels = quotient_in(ker, echelon_from_rows(in_cols, mid).rows,
                               "image does not lie in the kernel")
     return group, ker, rels

@@ -24,7 +24,7 @@ from cubehom.cubes import (
 )
 from cubehom.graphs import Graph, is_triangle_free
 from cubehom.monophobic import check_graph, is_monophobic, is_quasimonophobic
-from cubehom.zlinalg import Echelon, IntMatrix, smith_normal_form
+from cubehom.zlinalg import Echelon, dense_to_sparse, smith_normal_form
 
 
 def random_graph(rng, max_vertices=8, p=None):
@@ -115,33 +115,16 @@ def test_degree_monotone_random(property_rng):
 
 def test_snf_contract_random(property_rng):
     rng = property_rng
-
-    def det(a):
-        # cofactor expansion is fine at these sizes
-        n = len(a)
-        if n == 0:
-            return 1
-        if n == 1:
-            return a[0][0]
-        out = 0
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for row in a[1:]]
-            out += (-1) ** j * a[0][j] * det(minor)
-        return out
-
     for _ in range(60):
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], c)
-        u, d, v = smith_normal_form(m)
-        assert u * m * v == d
-        assert abs(det(u.data)) == 1
-        assert abs(det(v.data)) == 1
-        diag = [d.data[k][k] for k in range(min(r, c))]
+        rows = [dense_to_sparse([rng.randint(-9, 9) for _ in range(c)])
+                for _ in range(r)]
+        diag = smith_normal_form(rows)
+        assert len(diag) <= min(r, c)
         for x, y in zip(diag, diag[1:]):
-            assert (y % x == 0) if x else (y == 0)
-        assert all(x >= 0 for x in diag)
+            assert y % x == 0
+        assert all(x > 0 for x in diag)
 
 
 def _prism_remainder(sigma, n, i):

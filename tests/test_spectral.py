@@ -6,7 +6,7 @@ import pytest
 from cubehom import budget, cubes, zlinalg
 from cubehom.budget import BudgetExhausted, DimensionBudgetError
 from cubehom.cubes import _enumerate_chunk
-from cubehom.chains import homology, normalized_complex
+from cubehom.chains import homology, homology_presentation, normalized_complex
 from cubehom.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -362,5 +362,5 @@ def test_classification_matches_presentation_route_on_sphere(sphere4):
     # classification must agree on the flagship instance
     for n in (0, 1, 2):
         a = homology(sphere4, n)
-        b = homology(sphere4, n, presentation=True)
+        b = homology_presentation(sphere4, n)[0]
         assert a.invariants() == b.invariants()

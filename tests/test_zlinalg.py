@@ -9,21 +9,17 @@ from cubehom.zlinalg import (
     Echelon,
     GF2Echelon,
     GroupMap,
-    IntMatrix,
     axpy,
     cokernel_of,
     dense_to_sparse,
     echelon_from_rows,
-    hermite_normal_form,
     homology_at,
     image_of,
-    invariant_factors,
     is_surjective,
     kernel_echelon,
     kernel_of,
     lattice_preimage,
     lattice_torsion,
-    matrix_columns_sparse,
     quotient_group,
     quotient_in,
     smith_normal_form,
@@ -33,39 +29,15 @@ from cubehom.zlinalg import (
 )
 
 
-def M(rows, cols=None):
-    if cols is None:
-        cols = len(rows[0]) if rows else 0
-    return IntMatrix.from_rows(rows, cols)
+def sparse_rows(rows):
+    return [dense_to_sparse(r) for r in rows]
 
 
-def is_unimodular(m):
-    assert m.rows == m.cols
-    return abs(_det(m.data)) == 1
-
-
-def _det(a):
-    # fraction-free (Bareiss) determinant
-    a = [row[:] for row in a]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def triple(rows, ncols):
+    """A dense matrix as the (sparse_columns, nrows, ncols) triple."""
+    cols = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+            for j in range(ncols)]
+    return cols, len(rows), ncols
 
 
 # ---------------------------------------------------------------------------
@@ -73,20 +45,19 @@ def _det(a):
 # ---------------------------------------------------------------------------
 
 def test_snf_basic_2x2():
-    m = M([[2, 4], [6, 8]])
-    u, d, v = smith_normal_form(m)
     # invariant-factor oracle: d1 = gcd of entries, d1*d2 = |det|
-    assert [d.data[0][0], d.data[1][1]] == [2, 4]
-    assert u * m * v == d
-    assert is_unimodular(u) and is_unimodular(v)
+    rows = sparse_rows([[2, 4], [6, 8]])
+    assert smith_normal_form(rows) == [2, 4]
+    assert rows == sparse_rows([[2, 4], [6, 8]])  # input left as it was
+    # a pivot that does not divide what is left takes it in
+    assert smith_normal_form([{0: 2}, {1: 3}]) == [1, 6]
+    assert smith_normal_form([{0: 2}, {1: 4}, {2: 6}]) == [2, 2, 12]
 
 
 def test_snf_identity_and_zero():
-    u, d, v = smith_normal_form(IntMatrix.identity(3))
-    assert d == IntMatrix.identity(3)
-    u, d, v = smith_normal_form(IntMatrix(2, 3))
-    assert d.is_zero()
-    assert u * IntMatrix(2, 3) * v == d
+    assert smith_normal_form([{i: 1} for i in range(3)]) == [1, 1, 1]
+    assert smith_normal_form([{}, {}]) == []
+    assert smith_normal_form([]) == []
 
 
 def test_snf_divisibility_chain_random():
@@ -94,18 +65,13 @@ def test_snf_divisibility_chain_random():
     for _ in range(60):
         r = rng.randint(0, 5)
         c = rng.randint(0, 5)
-        m = M([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], c)
-        u, d, v = smith_normal_form(m)
-        assert u * m * v == d
-        assert is_unimodular(u) if r else True
-        assert is_unimodular(v) if c else True
-        diag = [d.data[k][k] for k in range(min(r, c))]
+        rows = sparse_rows([[rng.randint(-9, 9) for _ in range(c)]
+                            for _ in range(r)])
+        diag = smith_normal_form(rows)
+        assert len(diag) <= min(r, c)
+        assert all(x > 0 for x in diag)
         for x, y in zip(diag, diag[1:]):
-            assert (y % x == 0) if x else (y == 0)
-        for i in range(r):
-            for j in range(c):
-                if i != j:
-                    assert d.data[i][j] == 0
+            assert y % x == 0
 
 
 def test_snf_against_sympy():
@@ -117,16 +83,12 @@ def test_snf_against_sympy():
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
-        ours = invariant_factors(M(rows, c))
+        ours = smith_normal_form(sparse_rows(rows))
         theirs = sympy_snf(sympy.Matrix(rows))
         tdiag = [abs(theirs[k, k]) for k in range(min(r, c))]
         tdiag = [x for x in tdiag if x]
         assert ours == tdiag
 
-
-# ---------------------------------------------------------------------------
-# Hermite normal form
-# ---------------------------------------------------------------------------
 
 def test_snf_rank_matches_fraction_free_elimination():
     def bareiss_rank(rows, cols, data):
@@ -152,57 +114,8 @@ def test_snf_rank_matches_fraction_free_elimination():
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
         data = [[rng.randint(-7, 7) for _ in range(c)] for _ in range(r)]
-        snf_rank = len(invariant_factors(M(data, c)))
+        snf_rank = len(smith_normal_form(sparse_rows(data)))
         assert snf_rank == bareiss_rank(r, c, data)
-
-
-def test_hnf_gcd_column():
-    h, u = hermite_normal_form(M([[2], [3]], 1))
-    assert h.data == [[1], [0]]
-    assert u * M([[2], [3]], 1) == h
-    assert is_unimodular(u)
-
-
-def test_hnf_identity():
-    h, u = hermite_normal_form(IntMatrix.identity(4))
-    assert h == IntMatrix.identity(4)
-
-
-def test_hnf_already_triangular():
-    m = M([[4, 0], [0, 6]])
-    h, u = hermite_normal_form(m)
-    assert h.data == [[4, 0], [0, 6]]
-
-
-def test_hnf_contract_random():
-    rng = random.Random(3)
-    for _ in range(40):
-        r = rng.randint(0, 5)
-        c = rng.randint(0, 5)
-        m = M([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], c)
-        h, u = hermite_normal_form(m)
-        assert u * m == h
-        if r:
-            assert is_unimodular(u)
-        # shape: pivots positive, strictly right-moving, zero rows last,
-        # entries above each pivot reduced
-        last = -1
-        seen_zero = False
-        for row in h.data:
-            piv = next((j for j, x in enumerate(row) if x), None)
-            if piv is None:
-                seen_zero = True
-                continue
-            assert not seen_zero
-            assert piv > last
-            last = piv
-            assert row[piv] > 0
-        for i, row in enumerate(h.data):
-            piv = next((j for j, x in enumerate(row) if x), None)
-            if piv is None:
-                continue
-            for ii in range(i):
-                assert 0 <= h.data[ii][piv] < row[piv]
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +124,12 @@ def test_hnf_contract_random():
 
 def test_kernel_echelon_examples():
     def kernel(rows, ncols):
-        m = M(rows, ncols)
-        ker = kernel_echelon(matrix_columns_sparse(m), m.rows, m.cols)
-        return ker
+        return kernel_echelon(*triple(rows, ncols))
 
     assert kernel([[1, 0], [0, 1]], 2).rank == 0
-    assert kernel([[2, 0], [0, 0]], 2).basis_rows() == [[0, 1]]
-    assert kernel([[1, 2], [1, 2]], 2).basis_rows() == [[2, -1]] or \
-        kernel([[1, 2], [1, 2]], 2).basis_rows() == [[-2, 1]]
+    assert kernel([[2, 0], [0, 0]], 2).rows == [{1: 1}]
+    assert kernel([[1, 2], [1, 2]], 2).rows in ([{0: 2, 1: -1}],
+                                                [{0: -2, 1: 1}])
     assert kernel([], 3).rank == 3  # zero map from Z^3 (no constraint rows)
 
 
@@ -227,15 +138,16 @@ def test_kernel_is_saturated():
     for _ in range(30):
         r = rng.randint(1, 4)
         c = rng.randint(1, 5)
-        m = M([[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)], c)
-        ker = kernel_echelon(matrix_columns_sparse(m), r, c)
+        m = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+        cols = triple(m, c)[0]
+        ker = kernel_echelon(cols, r, c)
         for row in ker.rows:
             # every kernel basis vector maps to zero
-            img = [sum(m.data[i][j] * row.get(j, 0) for j in range(c))
+            img = [sum(m[i][j] * row.get(j, 0) for j in range(c))
                    for i in range(r)]
             assert not any(img)
         # saturation via rank: kernel rank + row rank = c
-        img = echelon_from_rows([m.column(j) for j in range(c)], r)
+        img = echelon_from_rows(cols, r)
         assert ker.rank + img.rank == c
 
 
@@ -261,7 +173,7 @@ def test_lattice_sum_intersection_membership():
     a = echelon_from_rows([[2]], 1)
     b = echelon_from_rows([[3]], 1)
     inter = lattice_meet(a, b)
-    assert inter.basis_rows() == [[6]] or inter.basis_rows() == [[-6]]
+    assert inter.rows in ([{0: 6}], [{0: -6}])
 
     three2 = echelon_from_rows([[3, 0], [0, 3]], 2)
     assert three2.contains({0: 3})
@@ -296,12 +208,12 @@ def test_lattice_preimage():
     # preimage of 2Z under multiplication by 3 on Z is 2Z
     target = echelon_from_rows([[2]], 1)
     pre = lattice_preimage([{0: 3}], 1, target)
-    assert pre.basis_rows() == [[2]]
+    assert pre.rows == [{0: 2}]
     # preimage of 0 under [[1,1]] is the antidiagonal
     target = Echelon(1)
     pre = lattice_preimage([{0: 1}, {0: 1}], 2, target)
     assert pre.rank == 1
-    row = pre.basis_rows()[0]
+    row = pre.rows[0]
     assert row[0] + row[1] == 0 and abs(row[0]) == 1
 
 
@@ -388,8 +300,8 @@ def test_ill_defined_map_rejected():
 
 def test_mod2_boundary_torsion():
     # d_in = multiplication by 2, d_out = 0: homology Z/2
-    d_in = M([[2]], 1)
-    d_out = IntMatrix(0, 1)
+    d_in = triple([[2]], 1)
+    d_out = triple([], 1)
     g = subquotient_homology(d_in, d_out)
     assert g.invariants() == (0, (2,))
     g2, ker, rels = subquotient_presentation(d_in, d_out)
@@ -398,26 +310,23 @@ def test_mod2_boundary_torsion():
 
 
 def test_subquotient_zero_maps():
-    g = subquotient_homology(IntMatrix(5, 0), IntMatrix(0, 5))
+    g = subquotient_homology(triple([[]] * 5, 0), triple([], 5))
     assert g.invariants() == (5, ())
 
 
 def test_subquotient_circle():
     # pentagon: d1 maps edges to vertex differences, d2 = 0
     edges = [(i, (i + 1) % 5) for i in range(5)]
-    d1 = IntMatrix(5, 5)
-    for j, (a, b) in enumerate(edges):
-        d1.data[b][j] += 1
-        d1.data[a][j] -= 1
-    h1 = subquotient_homology(IntMatrix(5, 0), d1)
+    d1 = ([{a: -1, b: 1} for a, b in edges], 5, 5)
+    h1 = subquotient_homology(triple([[]] * 5, 0), d1)
     assert h1.invariants() == (1, ())  # circuit rank of a 5-cycle
-    h0 = subquotient_homology(d1, IntMatrix(0, 5))
+    h0 = subquotient_homology(d1, triple([], 5))
     assert h0.invariants() == (1, ())
 
 
 def test_subquotient_rejects_noncomposable():
-    d_in = M([[1], [0]], 1)   # 2x1
-    d_out = M([[1, 1]], 2)    # 1x2
+    d_in = triple([[1], [0]], 1)   # 2x1
+    d_out = triple([[1, 1]], 2)    # 1x2
     with pytest.raises(ContractViolation):
         subquotient_homology(d_in, d_out)
 
@@ -428,9 +337,10 @@ def test_presentation_matches_classification_random():
         mid = rng.randint(1, 5)
         left = rng.randint(0, 4)
         right = rng.randint(0, 4)
-        d_out = M([[rng.randint(-2, 2) for _ in range(mid)] for _ in range(right)], mid)
+        d_out = triple([[rng.randint(-2, 2) for _ in range(mid)]
+                        for _ in range(right)], mid)
         # build d_in whose columns lie in ker(d_out): multiples of kernel rows
-        ker = kernel_echelon(matrix_columns_sparse(d_out), right, mid)
+        ker = kernel_echelon(*d_out)
         cols = []
         for _ in range(left):
             col = {}
@@ -445,7 +355,7 @@ def test_presentation_matches_classification_random():
             cols.append(col)
         d_in = (cols, mid, left)
         a = subquotient_homology(d_in, d_out)
-        b = subquotient_homology(d_in, d_out, presentation=True)
+        b = subquotient_presentation(d_in, d_out)[0]
         assert a.invariants() == b.invariants()
 
 
@@ -512,6 +422,40 @@ def test_lattice_torsion():
     assert lattice_torsion(echelon_from_rows([[2, 0], [0, 3]], 2)) == (6,)
     assert lattice_torsion(echelon_from_rows([[1, 5], [0, 1]], 2)) == ()
     assert lattice_torsion(Echelon(3)) == ()
+
+
+def test_lattice_torsion_reads_only_the_non_unit_rows():
+    # rows e_i + e_(i+1) and a last row 2 e_(n-1): one non-unit pivot in a
+    # wide echelon, whose torsion must not cost a dense n x n Smith form
+    n = 2000
+    ech = echelon_from_rows(
+        [{i: 1, i + 1: 1} for i in range(n - 1)] + [{n - 1: 2}], n)
+    set_time_budget(1)
+    try:
+        assert lattice_torsion(ech) == (2,)
+    finally:
+        clear_time_budget()
+
+
+def test_lattice_torsion_against_sympy_random():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-9, 9) for _ in range(n)]
+                for _ in range(rng.randint(1, 5))]
+        # rows with a +-1 pivot, so the reduction modulo unit rows runs
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randrange(n)
+            rows.append([0] * j + [rng.choice((1, -1))]
+                        + [rng.randint(-9, 9) for _ in range(n - j - 1)])
+        rng.shuffle(rows)
+        theirs = sympy_snf(sympy.Matrix(rows))
+        tdiag = [abs(theirs[k, k]) for k in range(min(len(rows), n))]
+        assert lattice_torsion(echelon_from_rows(rows, n)) == tuple(
+            x for x in tdiag if x > 1)
 
 
 def test_echelon_checks_budget_per_vector():
