@@ -9,9 +9,12 @@ the differential needs no correction term.
 
 Higher pages and the limit are computed from lattices of relative cycles
 inside the full chain groups, which scales to large top dimensions; the
-two routes are cross-checked in the test suite.
+two routes are cross-checked in the test suite.  One echelon of boundaries
+over C_n ordered by decreasing degree serves every filtration cut: the rows
+pivoting past the cubes of degree above the cut span the part inside it.
 """
 
+from bisect import bisect_left
 from itertools import chain
 
 from .budget import BudgetExhausted
@@ -29,7 +32,6 @@ from .zlinalg import (
     GF2Echelon,
     GroupMap,
     axpy,
-    dense_to_sparse,
     echelon_from_rows,
     homology_at,
     lattice_torsion,
@@ -109,7 +111,7 @@ def _d1_map(c, p, n, source, target):
         if coeffs is None:
             raise ContractViolation(
                 "projected boundary is not a cycle in the target slice")
-        cols.append(dense_to_sparse(coeffs))
+        cols.append(coeffs)
     return GroupMap(source.group, target.group, cols)
 
 
@@ -272,23 +274,36 @@ def _filtered_cycles(c, n, p, depth):
     return lat
 
 
-def _boundary_image(c, n, p, depth):
-    """Lattice {boundary(x) : x in F_p C_{n+1}, boundary(x) in F_{p-depth}},
-    echelonized over C_n coordinates."""
-    if p < 0 or n + 1 > c.max_dim:
-        return Echelon(c.dim(n))
-    cut = p - depth
+def _boundary_image(c, n, p):
+    """Reader `image(cut)` of the lattices {boundary(x) : x in F_p C_{n+1},
+    boundary(x) in F_cut C_n}, echelonized over C_n coordinates.
+
+    One echelon serves every cut: it orders C_n by decreasing degree, so
+    F_cut C_n is spanned by the coordinates from s = #{degree > cut} on.
+    Pivots are smallest indices and increase down the rows, so a combination
+    of rows vanishes below s only if each row pivoting below s has
+    coefficient 0: the rows pivoting at s or later span the lattice.  A read
+    maps them back to C_n coordinates and echelonizes them again."""
     degs = c.degrees[n]
-    _, lat = split_echelon(
-        (({i: v for i, v in col.items() if degs[i] > cut}, col)
-         for col, d in zip(c.columns[n + 1], c.degrees[n + 1]) if d <= p),
-        c.dim(n), c.dim(n))
-    return lat
+    order = sorted(range(c.dim(n)), key=degs.__getitem__, reverse=True)
+    at = {i: k for k, i in enumerate(order)}
+    ech = Echelon(c.dim(n))
+    for col, d in zip(c.columns[n + 1], c.degrees[n + 1]):
+        if d <= p:
+            ech.add({at[i]: v for i, v in col.items()})
+
+    def image(cut):
+        start = bisect_left(ech.pivots, sum(d > cut for d in degs))
+        return echelon_from_rows(
+            ({order[k]: v for k, v in row.items()} for row in ech.rows[start:]),
+            c.dim(n))
+    return image
 
 
-def er_term(c, r, p, q):
+def er_term(c, r, p, q, image=None):
     """E^r entry at (p, q), from the standard filtered-complex formula:
     relative cycles Z^r_{p,q} modulo Z^{r-1}_{p-1,q+1} + d Z^{r-1}_{p+r-1,q-r+2}.
+    `image` reads the boundaries of F_{p+r-1} C_{n+1} (`_boundary_image`).
     """
     if r < 1:
         raise ValueError("page index must be >= 1")
@@ -299,7 +314,7 @@ def er_term(c, r, p, q):
     c.require(n + 1, f"E^{r} at ({p},{q})")
     z_top = _filtered_cycles(c, n, p, r)
     sub = _filtered_cycles(c, n, p - 1, r - 1)
-    bnd = _boundary_image(c, n, p + r - 1, r - 1)
+    bnd = (image or _boundary_image(c, n, p + r - 1))(p)
     return quotient_in(z_top, sub.rows + bnd.rows,
                        "denominator lattice escapes the relative cycles")[0]
 
@@ -315,8 +330,10 @@ def einfinity_report(c, n):
     if n < 0:
         raise ValueError("degree must be non-negative")
     c.require(n + 1, f"limit page at total degree {n}")
-    boundaries = echelon_from_rows(
-        c.columns[n + 1] if n + 1 <= c.max_dim else (), c.dim(n))
+    # a cube's degree is at most its dimension, so image(n) cuts nothing and
+    # F_{p+n+1} C_{n+1} = C_{n+1} for every E^{n+2} term below
+    image = _boundary_image(c, n, n + 1)
+    boundaries = image(n)
     levels = [boundaries]
     for p in range(0, n + 2):
         if p > n:
@@ -330,7 +347,7 @@ def einfinity_report(c, n):
     graded = [quotient_in(cur, prev.rows,
                           "filtration levels are not nested")[0]
               for prev, cur in zip(levels, levels[1:])]
-    einf = [er_term(c, n + 2, p, n - p) for p in range(0, n + 2)]
+    einf = [er_term(c, n + 2, p, n - p, image) for p in range(0, n + 2)]
     match = all(a.invariants() == b.invariants()
                 for a, b in zip(graded, einf))
     return ConvergenceReport(n, graded, einf, match)

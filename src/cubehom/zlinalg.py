@@ -9,9 +9,9 @@ an exact computation should see first; no answer is read off it.
 
 Vectors over a fixed ambient Z^n are sparse {index: coeff} dicts (zero
 coefficients never stored), and a matrix is a list of them, by rows or by
-columns; dense lists are accepted only as input vectors and returned only as
-coefficient lists.  Lattices are held as `Echelon` objects: row bases
-sorted by strictly increasing pivot column.
+columns; dense lists are accepted only as input vectors.  Lattices are
+held as `Echelon` objects: row bases sorted by strictly increasing pivot
+column.
 
 All sparse-vector and lattice arithmetic of the package lives in this
 module; the other modules call it rather than update, reduce or quotient
@@ -117,7 +117,7 @@ class Echelon:
     def _walk(self, vec, coeffs):
         """Reduce a copy of `vec` down the basis while each leading entry
         is a multiple of the pivot in its column, recording the multiples
-        in `coeffs` (a list indexed like the rows) unless it is None.
+        in `coeffs` (a dict keyed by row position) unless it is None.
         Returns the remainder, which is empty iff `vec` is in the lattice."""
         vec = dict(vec)
         rows, pivots = self.rows, self.pivots
@@ -144,9 +144,9 @@ class Echelon:
         return not self.reduce(vec)
 
     def express(self, vec):
-        """Coefficients writing `vec` over the basis rows, or None if the
-        vector is not in the lattice."""
-        coeffs = [0] * len(self.rows)
+        """Sparse coefficients {row position: multiple} writing `vec` over
+        the basis rows, or None if the vector is not in the lattice."""
+        coeffs = {}
         return None if self._walk(vec, coeffs) else coeffs
 
     def has_unit_pivots(self):
@@ -365,7 +365,7 @@ def quotient_in(top, sub_rows, what):
         coeffs = top.express(row)
         if coeffs is None:
             raise ContractViolation(what)
-        rels.append(dense_to_sparse(coeffs))
+        rels.append(coeffs)
     return AbelianGroup(top.rank, echelon_from_rows(rels, top.rank)), rels
 
 

@@ -76,6 +76,9 @@ DEEP = [
 ]
 DEEP_GRAPHS = ("gs4", "k23", "c5", "c6", "c7", "disconnected", "empty",
                "single")
+# the limit page at total degree 2 on the larger spheres, which the
+# benchmark's chains_sphere workload runs
+EINF_GRAPHS = ("gs5", "gs6")
 
 # h2-pipeline with the direct chain-level check forced on and off
 DIRECT = [
@@ -95,6 +98,8 @@ def cases():
             for suffix, args in EVERY_GRAPH]
     runs += [(f"{graph}-{suffix}", args, graph)
              for graph in DEEP_GRAPHS for suffix, args in DEEP]
+    runs += [(f"{graph}-einf-2", ["einf", "--dim", "2"], graph)
+             for graph in EINF_GRAPHS]
     runs += [(f"{graph}-{suffix}", args, graph)
              for graph in DIRECT_GRAPHS for suffix, args in DIRECT]
     runs += [(f"budget0-{graph}-{suffix}", args + ["--time-budget", "0"],

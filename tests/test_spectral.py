@@ -1,3 +1,4 @@
+import random
 import re
 import time
 
@@ -16,6 +17,7 @@ from cubehom.graphs import (
 )
 from cubehom.spectral import (
     _Progress,
+    _boundary_image,
     _image_quotient,
     bottom_edge_group,
     e1_page,
@@ -27,7 +29,13 @@ from cubehom.spectral import (
     page_to_json,
     quotient_homology,
 )
-from cubehom.zlinalg import ContractViolation, Echelon, GF2Echelon, GroupMap
+from cubehom.zlinalg import (
+    ContractViolation,
+    Echelon,
+    GF2Echelon,
+    GroupMap,
+    split_echelon,
+)
 
 
 def petersen():
@@ -197,6 +205,61 @@ def test_einf_rank_sums_match_homology(sphere4, c6, k23):
         for g in rep.filtration_graded:
             orders *= g.torsion_order
         assert orders == hn.torsion_order
+
+
+def _stacked_boundary_image(c, n, p, depth):
+    """{boundary(x) : x in F_p C_{n+1}, boundary(x) in F_{p-depth} C_n} by
+    the stacked route: echelonize each column as (its part above the cut,
+    itself) and keep the second halves of the rows whose first half is 0."""
+    cut = p - depth
+    degs = c.degrees[n]
+    _, lat = split_echelon(
+        (({i: v for i, v in col.items() if degs[i] > cut}, col)
+         for col, d in zip(c.columns[n + 1], c.degrees[n + 1]) if d <= p),
+        c.dim(n), c.dim(n))
+    return lat
+
+
+def _random_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 5)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.4])
+
+
+BOUNDARY_GRAPHS = {
+    "sphere4": lambda: greene_sphere(4),
+    "k23": lambda: complete_bipartite_graph(2, 3),
+    "c5": lambda: cycle_graph(5),
+    "q3": lambda: hypercube_graph(3),
+    "petersen": petersen,
+    **{f"random-{seed}": (lambda seed=seed: _random_graph(seed))
+       for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_GRAPHS)
+def test_boundary_image_matches_the_stacked_route(name):
+    # one degree-ordered echelon per (n, p), read at every cut, spans the
+    # same lattice as one stacked echelon per (n, p, depth)
+    c = normalized_complex(BOUNDARY_GRAPHS[name](), 3)
+    # the stacked route reads only which columns it takes and which
+    # coordinates it cuts, so equal inputs are built once
+    stacked = {}
+    for n in range(3):
+        for p in range(-1, n + 4):
+            image = _boundary_image(c, n, p)
+            for depth in range(p + 3):
+                got = image(p - depth)
+                key = (n, tuple(d <= p for d in c.degrees[n + 1]),
+                       tuple(d > p - depth for d in c.degrees[n]))
+                if key not in stacked:
+                    stacked[key] = _stacked_boundary_image(c, n, p, depth)
+                want = stacked[key]
+                assert all(want.contains(row) for row in got.rows), \
+                    (n, p, depth)
+                assert all(got.contains(row) for row in want.rows), \
+                    (n, p, depth)
 
 
 # ---------------------------------------------------------------------------
