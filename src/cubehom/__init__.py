@@ -24,7 +24,6 @@ from .cubes import (
     cube_degree,
     cube_subgraphs,
     cubical_dimension,
-    enumerate_singular_cubes,
     face,
     is_degenerate,
     is_graph_map,

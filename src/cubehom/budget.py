@@ -3,10 +3,13 @@
 A budget is a wall-clock deadline checked cooperatively from inner loops
 (cube enumeration, echelon reduction).  When the deadline passes, the
 current operation raises BudgetExhausted; callers report partial results
-as incomplete instead of returning silently truncated answers.
+as incomplete instead of returning silently truncated answers.  Every
+computation runs in the calling process, so one module-level deadline
+covers all of it.
 """
 
 import time
+from contextlib import contextmanager
 
 _deadline = None
 
@@ -29,23 +32,29 @@ class DimensionBudgetError(ValueError):
 
 def set_time_budget(seconds):
     """Install a soft deadline `seconds` from now; None clears it."""
-    set_deadline(None if seconds is None else time.monotonic() + seconds)
-
-
-def deadline():
-    """The soft deadline, a system-wide `time.monotonic()` value, or None."""
-    return _deadline
-
-
-def set_deadline(when):
-    """Install a deadline read by `deadline()`, as worker processes do
-    first with the one in their job arguments; None clears it."""
     global _deadline
-    _deadline = when
+    _deadline = None if seconds is None else time.monotonic() + seconds
 
 
 def clear_time_budget():
     set_time_budget(None)
+
+
+@contextmanager
+def time_budget(seconds):
+    """Run the block under the earlier of the installed deadline and
+    `seconds` from now (None keeps the installed one), and put the
+    installed deadline back on exit, so an inner budget never lifts or
+    clears an outer one."""
+    global _deadline
+    outer = _deadline
+    if seconds is not None:
+        mine = time.monotonic() + seconds
+        _deadline = mine if outer is None else min(outer, mine)
+    try:
+        yield
+    finally:
+        _deadline = outer
 
 
 def checkpoint():

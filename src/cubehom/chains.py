@@ -11,7 +11,7 @@ handed to `zlinalg` as they are; nothing here densifies them.
 """
 
 from .budget import DimensionBudgetError
-from .cubes import cube_degree, enumerate_singular_cubes, face_getters
+from .cubes import cube_degree, face_getters, singular_cubes
 from .zlinalg import subquotient_homology, subquotient_presentation
 
 
@@ -58,7 +58,7 @@ def _boundary_column(corners, n, index_below):
     return col
 
 
-def normalized_complex(g, max_dim, threads=1):
+def normalized_complex(g, max_dim):
     """Normalized singular chains of g through dimension max_dim.
 
     The dimension budget is explicit: basis sizes grow super-exponentially
@@ -70,8 +70,8 @@ def normalized_complex(g, max_dim, threads=1):
     degrees = []
     columns = [[]]
     for n in range(max_dim + 1):
-        cubes = enumerate_singular_cubes(g, n, "nondegenerate", threads)
-        basis.append(tuple(cubes))
+        cubes = tuple(singular_cubes(g, n, "nondegenerate"))
+        basis.append(cubes)
         degrees.append([cube_degree(c) for c in cubes])
         if n >= 1:
             below = {c: i for i, c in enumerate(basis[n - 1])}

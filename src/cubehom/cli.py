@@ -27,8 +27,7 @@ from . import __version__
 from .budget import (
     BudgetExhausted,
     DimensionBudgetError,
-    clear_time_budget,
-    set_time_budget,
+    time_budget,
 )
 from .chains import (
     degree_subcomplex,
@@ -123,7 +122,7 @@ def table_homology(results, suffix=""):
 
 def compute_homology(g, args, results):
     results.update(H=[], chain_ranks=[])
-    c = normalized_complex(g, args.max_dim, args.threads)
+    c = normalized_complex(g, args.max_dim)
     results["chain_ranks"] = [c.dim(n) for n in range(args.max_dim + 1)]
     if args.dump_complex:
         with open(args.dump_complex, "w", encoding="utf-8") as fh:
@@ -133,13 +132,12 @@ def compute_homology(g, args, results):
 
 def compute_filtered_homology(g, args, results):
     results.update(degree=args.degree, H=[])
-    c = degree_subcomplex(
-        normalized_complex(g, args.max_dim, args.threads), args.degree)
+    c = degree_subcomplex(normalized_complex(g, args.max_dim), args.degree)
     _homology_entries(results, homology, c, args.max_dim)
 
 
 def compute_e1_page(g, args, results):
-    c = normalized_complex(g, args.max_total + 1, args.threads)
+    c = normalized_complex(g, args.max_total + 1)
     results.update(page_to_json(e1_page(c, args.max_total)))
 
 
@@ -149,7 +147,7 @@ def table_e1_page(results):
 
 
 def compute_injective_homology(g, args, results):
-    c = normalized_complex(g, args.dim + 1, args.threads)
+    c = normalized_complex(g, args.dim + 1)
     results.update(n=args.dim, **_group_doc(injective_homology(c, args.dim)))
 
 
@@ -158,8 +156,7 @@ def table_injective_homology(results):
 
 
 def compute_einf(g, args, results):
-    rep = einfinity_report(
-        normalized_complex(g, args.dim + 1, args.threads), args.dim)
+    rep = einfinity_report(normalized_complex(g, args.dim + 1), args.dim)
     results.update(
         n=rep.n,
         filtration_graded=[_group_doc(x) for x in rep.filtration_graded],
@@ -176,7 +173,7 @@ def table_einf(results):
 
 def compute_cw_homology(g, args, results):
     results.update(H=[], euler_characteristic=None)
-    c = build_cw_complex(g, args.max_dim, args.threads)
+    c = build_cw_complex(g, args.max_dim)
     results["euler_characteristic"] = c.euler_characteristic
     if args.dump_cells:
         with open(args.dump_cells, "w", encoding="utf-8") as fh:
@@ -235,13 +232,13 @@ def compute_h2_pipeline(g, args, results):
     results["witnesses"] = witnesses
     quasi_ok = not witnesses
 
-    cw_h2 = _group_doc(cw_homology(build_cw_complex(g, 3, args.threads), 2))
+    cw_h2 = _group_doc(cw_homology(build_cw_complex(g, 3), 2))
     results["cw_h2"] = cw_h2
     results["conclusion_h2"] = cw_h2 if quasi_ok else None
 
     if args.direct == "always" or (args.direct == "auto" and not quasi_ok):
         # H_2 reads boundaries of 3-chains, so chains through dimension 3
-        h2 = _group_doc(homology(normalized_complex(g, 3, args.threads), 2))
+        h2 = _group_doc(homology(normalized_complex(g, 3), 2))
         results["direct_h2"] = h2
         if quasi_ok:
             results["agreement"] = h2 == cw_h2
@@ -268,7 +265,7 @@ def table_h2_pipeline(results):
 
 
 def compute_cell_map(g, args, results):
-    cm = cell_to_degree_class(g, args.dim, threads=args.threads)
+    cm = cell_to_degree_class(g, args.dim)
     results.update(dim=args.dim, cells=cm.matrix.source.ngens,
                    surjective=cm.surjective, chain_map_ok=cm.chain_map_ok,
                    kernel_rank=cm.kernel_rank,
@@ -313,7 +310,8 @@ def _command(sp, name, compute, table, help):
                      help="edge-list file (default: standard input)")
     sub.add_argument("--format", choices=("table", "json"), default="table")
     sub.add_argument("--threads", type=_at_least(1), default=1,
-                     help="worker processes for enumeration")
+                     help="accepted and ignored: every command runs in one "
+                          "process")
     sub.add_argument("--time-budget", type=_at_least(0, float), default=None,
                      help="soft wall-clock limit in seconds")
     sub.set_defaults(func=run_command, compute=compute, table=table)
@@ -393,16 +391,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    budget = getattr(args, "time_budget", None)
-    if budget is not None:
-        set_time_budget(budget)
     try:
-        return args.func(args)
+        with time_budget(getattr(args, "time_budget", None)):
+            return args.func(args)
     except (EdgeListError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    finally:
-        clear_time_budget()
 
 
 if __name__ == "__main__":

@@ -14,14 +14,17 @@ n: `face_getters(n)` and `subcube_getters(n)` hold one corner-index getter
 per face and per subcube of an n-cube, which `face`, `iter_faces`,
 `cube_degree`, the enumeration filters (bound once per enumeration) and
 the boundary and witness loops index instead of redoing bit arithmetic.
+
+Every enumeration is one `singular_cubes` stream in the calling process:
+`chains.normalized_complex` lists it to store a basis, and the cube
+subgraphs, the slice streams and the witness search consume it as it goes.
 """
 
-import os
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from .budget import checkpoint, deadline, set_deadline
+from .budget import checkpoint
 
 MINUS, PLUS = 0, 1
 
@@ -377,35 +380,6 @@ def singular_cubes(g, n, filt="all", prefix=None):
                     used.discard(corners[b])
 
 
-def enumerate_singular_cubes(g, n, filt="all", threads=1):
-    """Materialized enumeration, optionally parallel over corner-0 chunks.
-
-    Worker processes each enumerate one corner-0 slice and apply the
-    filter before returning, so only surviving cubes cross the pipe.
-    Chunk results are concatenated in vertex order: the output is
-    identical to the single-threaded stream.
-    """
-    if threads <= 1 or g.n <= 1 or n == 0:
-        return list(singular_cubes(g, n, filt))
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=_worker_count(threads, g.n)) as pool:
-        jobs = [(g, n, filt, v, deadline()) for v in range(g.n)]
-        return [c for chunk in pool.map(_enumerate_chunk, jobs)
-                for c in chunk]
-
-
-def _worker_count(threads, n_vertices):
-    """Pool size: at most one worker per corner-0 slice and per CPU."""
-    return min(threads, n_vertices, os.cpu_count() or 1)
-
-
-def _enumerate_chunk(args):
-    g, n, filt, v, until = args
-    set_deadline(until)
-    return list(singular_cubes(g, n, filt, prefix=(v,)))
-
-
 # ---------------------------------------------------------------------------
 # cube subgraphs
 # ---------------------------------------------------------------------------
@@ -451,7 +425,7 @@ def image_subgraph(corners):
     return vertices, tuple(sorted(edges))
 
 
-def cube_subgraphs(g, n, threads=1):
+def cube_subgraphs(g, n):
     """All n-cube subgraphs, ordered by canonical representative.
 
     Distinct subgraphs means distinct edge sets (distinct vertices for
@@ -461,7 +435,7 @@ def cube_subgraphs(g, n, threads=1):
     """
     seen = {}
     order = []
-    for corners in enumerate_singular_cubes(g, n, "injective", threads):
+    for corners in singular_cubes(g, n, "injective"):
         vertices, edges = image_subgraph(corners)
         key = (vertices, edges)
         if key not in seen:

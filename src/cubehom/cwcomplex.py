@@ -63,7 +63,7 @@ class CwCubeComplex:
             raise DimensionBudgetError(n, self.max_dim, what)
 
 
-def build_cw_complex(g, max_dim, threads=1):
+def build_cw_complex(g, max_dim):
     """Cells in every dimension up to max_dim with oriented boundaries.
 
     The boundary of a cell is the alternating sum of its face cells, each
@@ -75,7 +75,7 @@ def build_cw_complex(g, max_dim, threads=1):
     cells = []
     columns = [[]]
     for n in range(max_dim + 1):
-        cells.append(cube_subgraphs(g, n, threads))
+        cells.append(cube_subgraphs(g, n))
         if n == 0:
             continue
         below = {q.edges if n > 1 else q.vertices: i
@@ -171,7 +171,7 @@ class ComparisonMap:
         self.kernel_basis = kernel
 
 
-def cell_to_degree_class(g, n, chain_complex=None, cw=None, threads=1):
+def cell_to_degree_class(g, n, chain_complex=None, cw=None):
     """Send each n-cell to the class of its canonical representative in
     the degree-n slice homology, and verify the comparison:
 
@@ -183,9 +183,9 @@ def cell_to_degree_class(g, n, chain_complex=None, cw=None, threads=1):
     from .spectral import bottom_edge_group, edge_map
 
     if chain_complex is None:
-        chain_complex = normalized_complex(g, n + 1, threads)
+        chain_complex = normalized_complex(g, n + 1)
     if cw is None:
-        cw = build_cw_complex(g, n, threads)
+        cw = build_cw_complex(g, n)
     chain_complex.require(n + 1, "the slice group at the cell dimension")
     here = bottom_edge_group(chain_complex, n)
     group, basis = here

@@ -1,7 +1,7 @@
 """Finite simple graphs: representation, generators, predicates, edge-list I/O.
 
 Vertices are dense 0-based integers.  Graphs are immutable after
-construction and safe to share between workers.
+construction, so one graph may feed any number of computations.
 """
 
 from .zlinalg import AbelianGroup

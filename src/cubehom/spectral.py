@@ -9,9 +9,10 @@ the differential needs no correction term.
 
 Higher pages and the limit are computed from lattices of relative cycles
 inside the full chain groups, which scales to large top dimensions; the
-two routes are cross-checked in the test suite.  One echelon of boundaries
-over C_n ordered by decreasing degree serves every filtration cut: the rows
-pivoting past the cubes of degree above the cut span the part inside it.
+two routes are cross-checked in the test suite.  One echelon over C_n
+ordered by decreasing degree serves every filtration level of a lattice (the
+boundaries at each cut, the relative cycles at each p): the rows pivoting
+past the cubes of degree above the level span the part inside it.
 """
 
 from bisect import bisect_left
@@ -83,13 +84,6 @@ class _Entry:
         self.kernel = kernel
 
 
-def _e1_entry(c, p, n):
-    """Presentation of the degree-p slice homology at total degree n."""
-    q = degree_quotient_complex(c, p)
-    group, kernel, _ = homology_presentation(q, n)
-    return _Entry(q, group, kernel)
-
-
 def _d1_map(c, p, n, source, target):
     """Differential from the (p, n-p) entry to (p-1, n-p): push a kernel
     representative through the full boundary and keep the degree-(p-1)
@@ -119,15 +113,18 @@ def e1_page(c, max_total):
     """First page of the degree spectral sequence for all p + q <= max_total.
 
     Entries vanish outside 0 <= p <= p+q, so only that triangle is stored.
+    Each degree slice is built once and serves every total degree.
     Requires the complex through dimension max_total + 1.
     """
     if max_total < 0:
         raise ValueError("max_total must be non-negative")
     c.require(max_total + 1, "first page through this total degree")
+    slices = [degree_quotient_complex(c, p) for p in range(max_total + 1)]
     cache = {}
     for n in range(max_total + 1):
         for p in range(n + 1):
-            cache[(p, n)] = _e1_entry(c, p, n)
+            group, kernel, _ = homology_presentation(slices[p], n)
+            cache[(p, n)] = _Entry(slices[p], group, kernel)
     entries = {(p, n - p): e.group for (p, n), e in cache.items()}
     differentials = {}
     for (p, n), src in cache.items():
@@ -257,53 +254,54 @@ def injective_homology(c, n):
 # higher pages via relative-cycle lattices
 # ---------------------------------------------------------------------------
 
-def _filtered_cycles(c, n, p, depth):
-    """Lattice Z = {x in F_p C_n : boundary(x) in F_{p-depth} C_{n-1}},
-    echelonized over the full C_n coordinates."""
-    if p < 0:
-        return Echelon(c.dim(n))
-    if n == 0:
+def _degree_reader(degs, build):
+    """Reader `read(p)` of the part inside F_p of one lattice over the
+    coordinates of C_n, whose degrees are `degs`.
+
+    `build(at)` echelonizes the lattice over C_n ordered by decreasing
+    degree (stable within a degree), coordinate i going to at[i], so F_p C_n
+    is spanned by the coordinates from s = #{degree > p} on.  Pivots are
+    smallest indices and increase down the rows, so a combination of rows
+    vanishes below s only if each row pivoting below s has coefficient 0:
+    the rows pivoting at s or later span the part inside F_p.  A read maps
+    them back to C_n coordinates and echelonizes them again."""
+    order = sorted(range(len(degs)), key=degs.__getitem__, reverse=True)
+    ech = build({i: k for k, i in enumerate(order)})
+
+    def read(p):
+        start = bisect_left(ech.pivots, sum(d > p for d in degs))
         return echelon_from_rows(
-            ({j: 1} for j, d in enumerate(c.degrees[0]) if d <= p), c.dim(0))
-    cut = p - depth
-    degs = c.degrees[n - 1]
-    _, lat = split_echelon(
-        (({i: v for i, v in c.columns[n][j].items() if degs[i] > cut}, {j: 1})
-         for j, d in enumerate(c.degrees[n]) if d <= p),
-        c.dim(n - 1), c.dim(n))
-    return lat
+            ({order[k]: v for k, v in row.items()} for row in ech.rows[start:]),
+            len(degs))
+    return read
+
+
+def _filtered_cycles(c, n, cut):
+    """Reader `cycles(p)` of the lattices {x in F_p C_n : boundary(x) in
+    F_cut C_{n-1}} off one kernel echelon over C_n (`_degree_reader`)."""
+    degs = c.degrees[n - 1] if n else ()
+    cols = c.columns[n] if n else [{}] * c.dim(0)
+    return _degree_reader(c.degrees[n], lambda at: split_echelon(
+        (({i: v for i, v in col.items() if degs[i] > cut}, {at[j]: 1})
+         for j, col in enumerate(cols)), c.dim(n - 1), c.dim(n))[1])
 
 
 def _boundary_image(c, n, p):
     """Reader `image(cut)` of the lattices {boundary(x) : x in F_p C_{n+1},
-    boundary(x) in F_cut C_n}, echelonized over C_n coordinates.
-
-    One echelon serves every cut: it orders C_n by decreasing degree, so
-    F_cut C_n is spanned by the coordinates from s = #{degree > cut} on.
-    Pivots are smallest indices and increase down the rows, so a combination
-    of rows vanishes below s only if each row pivoting below s has
-    coefficient 0: the rows pivoting at s or later span the lattice.  A read
-    maps them back to C_n coordinates and echelonizes them again."""
-    degs = c.degrees[n]
-    order = sorted(range(c.dim(n)), key=degs.__getitem__, reverse=True)
-    at = {i: k for k, i in enumerate(order)}
-    ech = Echelon(c.dim(n))
-    for col, d in zip(c.columns[n + 1], c.degrees[n + 1]):
-        if d <= p:
-            ech.add({at[i]: v for i, v in col.items()})
-
-    def image(cut):
-        start = bisect_left(ech.pivots, sum(d > cut for d in degs))
-        return echelon_from_rows(
-            ({order[k]: v for k, v in row.items()} for row in ech.rows[start:]),
-            c.dim(n))
-    return image
+    boundary(x) in F_cut C_n} off one echelon of the boundaries
+    (`_degree_reader`)."""
+    return _degree_reader(c.degrees[n], lambda at: echelon_from_rows(
+        ({at[i]: v for i, v in col.items()}
+         for col, d in zip(c.columns[n + 1], c.degrees[n + 1]) if d <= p),
+        c.dim(n)))
 
 
-def er_term(c, r, p, q, image=None):
+def er_term(c, r, p, q, image=None, cycles=None):
     """E^r entry at (p, q), from the standard filtered-complex formula:
     relative cycles Z^r_{p,q} modulo Z^{r-1}_{p-1,q+1} + d Z^{r-1}_{p+r-1,q-r+2}.
-    `image` reads the boundaries of F_{p+r-1} C_{n+1} (`_boundary_image`).
+    `image` reads the boundaries of F_{p+r-1} C_{n+1} (`_boundary_image`)
+    and `cycles` the relative cycles of C_n at the cut p - r, which both
+    cycle lattices share (`_filtered_cycles`); each is built when not given.
     """
     if r < 1:
         raise ValueError("page index must be >= 1")
@@ -312,10 +310,9 @@ def er_term(c, r, p, q, image=None):
         return AbelianGroup.trivial()
     c.require(n, f"E^{r} at ({p},{q})")
     c.require(n + 1, f"E^{r} at ({p},{q})")
-    z_top = _filtered_cycles(c, n, p, r)
-    sub = _filtered_cycles(c, n, p - 1, r - 1)
+    cycles = cycles or _filtered_cycles(c, n, p - r)
     bnd = (image or _boundary_image(c, n, p + r - 1))(p)
-    return quotient_in(z_top, sub.rows + bnd.rows,
+    return quotient_in(cycles(p), cycles(p - 1).rows + bnd.rows,
                        "denominator lattice escapes the relative cycles")[0]
 
 
@@ -333,21 +330,20 @@ def einfinity_report(c, n):
     # a cube's degree is at most its dimension, so image(n) cuts nothing and
     # F_{p+n+1} C_{n+1} = C_{n+1} for every E^{n+2} term below
     image = _boundary_image(c, n, n + 1)
+    # every cut below degree 0 reads the cycles on the nose: the filtration
+    # levels and all E^{n+2} terms, whose cuts p - n - 2 are negative
+    cycles = _filtered_cycles(c, n, -1)
     boundaries = image(n)
-    levels = [boundaries]
-    for p in range(0, n + 2):
-        if p > n:
-            # F_p C_n = C_n once p >= n, so the lattice stabilizes
-            levels.append(levels[-1])
-        else:
-            # cycles on the nose inside F_p: cut the boundary below degree 0
-            cycles = _filtered_cycles(c, n, p, p + 1)
-            levels.append(echelon_from_rows(cycles.rows + boundaries.rows,
-                                            c.dim(n)))
+    levels = [boundaries] + [
+        echelon_from_rows(cycles(p).rows + boundaries.rows, c.dim(n))
+        for p in range(n + 1)]
+    # F_p C_n = C_n once p >= n, so the lattice stabilizes
+    levels.append(levels[-1])
     graded = [quotient_in(cur, prev.rows,
                           "filtration levels are not nested")[0]
               for prev, cur in zip(levels, levels[1:])]
-    einf = [er_term(c, n + 2, p, n - p, image) for p in range(0, n + 2)]
+    einf = [er_term(c, n + 2, p, n - p, image, cycles)
+            for p in range(0, n + 2)]
     match = all(a.invariants() == b.invariants()
                 for a, b in zip(graded, einf))
     return ConvergenceReport(n, graded, einf, match)
@@ -506,8 +502,9 @@ def quotient_homology(g, k, n, threads=1):
     replay, which settles H = 0 as soon as it reaches the cycle rank with
     unit pivots; any other outcome takes one exact pass over the rest of
     the stream, which enumerates, degree-tests and adds each cube once
-    (see `_image_quotient`).  The route runs in one process; `threads` is
-    accepted for the callers that pass it and does not change it.
+    (see `_image_quotient`).  Like every computation here it runs in the
+    calling process; `threads` is accepted for the callers that pass it
+    and ignored.
 
     A budget stop re-raises BudgetExhausted with the phase, the rank
     reached against the cycle rank and the candidates pulled.

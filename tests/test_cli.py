@@ -1,11 +1,18 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 import cubehom.cli
-from cubehom.budget import BudgetExhausted
+from cubehom.budget import (
+    BudgetExhausted,
+    checkpoint,
+    clear_time_budget,
+    set_time_budget,
+    time_budget,
+)
 from cubehom.cli import main
 from cubehom.graphs import cycle_graph, format_edge_list, greene_sphere
 from cubehom.zlinalg import ContractViolation
@@ -157,6 +164,46 @@ def test_budget_exhaustion_exit_code(cli):
     assert code == 2
     doc = json.loads(out)
     assert doc["status"] == "incomplete"
+
+
+def test_main_keeps_an_outer_budget(cli):
+    # a library caller's deadline outlives a CLI call without --time-budget
+    graph_text = format_edge_list(cycle_graph(5))
+    start = time.monotonic()
+    set_time_budget(1.0)
+    try:
+        code, out, _ = cli(["homology", "--max-dim", "1"], graph_text)
+        assert code == 0 and out.splitlines() == ["H_0 = Z"]
+        time.sleep(max(0.0, start + 1.05 - time.monotonic()))
+        with pytest.raises(BudgetExhausted):
+            checkpoint()
+    finally:
+        clear_time_budget()
+
+
+def test_time_budget_takes_the_earlier_deadline():
+    clear_time_budget()
+    with time_budget(None):
+        checkpoint()  # no budget at all
+    with time_budget(3600):
+        with time_budget(-1):
+            with pytest.raises(BudgetExhausted):
+                checkpoint()
+        checkpoint()  # the inner, earlier deadline is gone on exit
+    with pytest.raises(ZeroDivisionError):
+        with time_budget(-1):
+            1 / 0
+    checkpoint()  # ... also when the block raises
+    set_time_budget(-1)
+    try:
+        for inner in (3600, None):  # an inner budget never lifts an outer one
+            with time_budget(inner):
+                with pytest.raises(BudgetExhausted):
+                    checkpoint()
+        with pytest.raises(BudgetExhausted):
+            checkpoint()
+    finally:
+        clear_time_budget()
 
 
 def _stop_on_call(monkeypatch, name, stop_at):

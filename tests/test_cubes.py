@@ -1,5 +1,4 @@
 import hashlib
-import os
 import random
 from itertools import combinations
 from math import comb
@@ -12,14 +11,12 @@ from cubehom.cubes import (
     PLUS,
     CubeAutomorphism,
     _cube_filter,
-    _worker_count,
     all_automorphisms,
     apply_automorphism,
     cube_degree,
     cube_dim,
     cube_subgraphs,
     cubical_dimension,
-    enumerate_singular_cubes,
     face,
     face_getters,
     image_subgraph,
@@ -370,10 +367,10 @@ def test_relating_automorphism_errors():
 # ---------------------------------------------------------------------------
 
 def test_enumeration_counts_small():
-    assert len(enumerate_singular_cubes(k2(), 1, "all")) == 4
-    assert len(enumerate_singular_cubes(k3(), 1, "all")) == 9
+    assert len(list(singular_cubes(k2(), 1, "all"))) == 4
+    assert len(list(singular_cubes(k3(), 1, "all"))) == 9
     # 16 total assignments minus 6 degenerate, by inclusion-exclusion
-    assert len(enumerate_singular_cubes(k2(), 2, "nondegenerate")) == 10
+    assert len(list(singular_cubes(k2(), 2, "nondegenerate"))) == 10
 
 
 def test_enumeration_matches_brute_force():
@@ -383,7 +380,7 @@ def test_enumeration_matches_brute_force():
         for n in (0, 1, 2):
             brute = [c for c in product(range(g.n), repeat=1 << n)
                      if is_graph_map(g, c)]
-            got = enumerate_singular_cubes(g, n, "all")
+            got = list(singular_cubes(g, n, "all"))
             assert got == sorted(brute)
             assert got == sorted(set(got))  # no duplicates
 
@@ -447,30 +444,10 @@ def test_unknown_filter_rejected():
 
 def test_degree_filter():
     g = greene_sphere(4)
-    inj = enumerate_singular_cubes(g, 2, "injective")
-    deg2 = [c for c in enumerate_singular_cubes(g, 2, ("degree", 2))]
+    inj = list(singular_cubes(g, 2, "injective"))
+    deg2 = list(singular_cubes(g, 2, ("degree", 2)))
     assert set(inj) == set(deg2)  # at top dimension, degree n means injective
     assert len(inj) == 64  # 8 squares, 8 parametrizations each
-
-
-def test_worker_count_caps():
-    cpus = os.cpu_count() or 1
-    assert _worker_count(2, 10) == min(2, cpus)
-    assert _worker_count(8, 3) == min(3, cpus)
-    assert _worker_count(10 ** 9, 10 ** 9) == cpus
-    assert _worker_count(10 ** 9, 5) == min(5, cpus)
-
-
-def test_worker_count_unknown_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _worker_count(10 ** 9, 10 ** 9) == 1
-
-
-def test_parallel_enumeration_identical():
-    g = greene_sphere(4)
-    seq = enumerate_singular_cubes(g, 2, "nondegenerate", threads=1)
-    par = enumerate_singular_cubes(g, 2, "nondegenerate", threads=4)
-    assert seq == par
 
 
 # ---------------------------------------------------------------------------

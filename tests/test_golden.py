@@ -24,3 +24,14 @@ def test_golden_replay(case):
     code, out = generate.run_case(case["argv"], case["graph"])
     assert code == case["exit"]
     assert out == (GOLDEN / case["out"]).read_text()
+
+
+@pytest.mark.parametrize("name", ["gs4-homology-3", "gs4-cw-3"])
+def test_threads_flag_leaves_the_output_unchanged(name):
+    # `--threads` is accepted and ignored: every command runs in one process
+    case = next(m for m in MANIFEST if m["case"] == name)
+    want = (GOLDEN / case["out"]).read_text()
+    for threads in ("1", "3"):
+        code, out = generate.run_case(case["argv"] + ["--threads", threads],
+                                      case["graph"])
+        assert (code, out) == (case["exit"], want)

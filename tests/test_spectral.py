@@ -1,12 +1,10 @@
 import random
 import re
-import time
 
 import pytest
 
-from cubehom import budget, cubes, zlinalg
+from cubehom import cubes, zlinalg
 from cubehom.budget import BudgetExhausted, DimensionBudgetError
-from cubehom.cubes import _enumerate_chunk
 from cubehom.chains import homology, homology_presentation, normalized_complex
 from cubehom.graphs import (
     Graph,
@@ -18,6 +16,7 @@ from cubehom.graphs import (
 from cubehom.spectral import (
     _Progress,
     _boundary_image,
+    _filtered_cycles,
     _image_quotient,
     bottom_edge_group,
     e1_page,
@@ -262,6 +261,36 @@ def test_boundary_image_matches_the_stacked_route(name):
                     (n, p, depth)
 
 
+def _direct_filtered_cycles(c, n, p, cut):
+    """{x in F_p C_n : boundary(x) in F_cut C_{n-1}} built directly: the
+    kernel of the boundary's part above the cut on the cubes of degree at
+    most p."""
+    degs = c.degrees[n - 1]
+    _, lat = split_echelon(
+        (({i: v for i, v in c.columns[n][j].items() if degs[i] > cut}, {j: 1})
+         for j, d in enumerate(c.degrees[n]) if d <= p),
+        c.dim(n - 1), c.dim(n))
+    return lat
+
+
+@pytest.mark.parametrize("name", ["sphere4", "k23", "c5"])
+def test_filtered_cycles_match_a_direct_build(name):
+    # one degree-ordered kernel echelon per (n, cut), read at every p, spans
+    # the same lattice as a direct build per (n, p, cut)
+    c = normalized_complex(BOUNDARY_GRAPHS[name](), 2)
+    for n in (1, 2):
+        for cut in range(-2, n + 1):
+            cycles = _filtered_cycles(c, n, cut)
+            for p in range(-1, n + 2):
+                got = cycles(p)
+                want = _direct_filtered_cycles(c, n, p, cut)
+                assert got.rank == want.rank, (n, cut, p)
+                assert all(want.contains(row) for row in got.rows), \
+                    (n, cut, p)
+                assert all(got.contains(row) for row in want.rows), \
+                    (n, cut, p)
+
+
 # ---------------------------------------------------------------------------
 # the H_2 extension
 # ---------------------------------------------------------------------------
@@ -402,22 +431,6 @@ def test_budget_stop_reports_the_phase_and_the_ranks(monkeypatch, sphere4):
             assert cycles == cycle_rank and rank <= cycle_rank
             assert 0 < pulled <= 21552
     assert phases == {"slice bases", "GF(2) filter", "exact pass"}
-
-
-def test_worker_reads_the_deadline_from_its_job():
-    # a worker started by spawn or forkserver imports budget afresh, so the
-    # deadline must come with the job, not through the module global
-    passed = time.monotonic() - 1
-    job = (greene_sphere(4), 2, "nondegenerate", 0, passed)
-    budget.clear_time_budget()
-    try:
-        with pytest.raises(BudgetExhausted):
-            _enumerate_chunk(job)
-        assert budget.deadline() == passed
-        budget.clear_time_budget()
-        assert _enumerate_chunk(job[:-1] + (None,))
-    finally:
-        budget.clear_time_budget()
 
 
 def test_classification_matches_presentation_route_on_sphere(sphere4):
