@@ -127,13 +127,25 @@ def cube_degree(corners):
     single corners, so the result is between 0 and n.  An iterated face
     is a restriction to a subcube: a set of free coordinates plus a 0/1
     assignment of the fixed ones.
+
+    A k-subcube with distinct corners needs 2^k distinct corners in the
+    cube, so only the levels with 2^k at most the cube's count are tried.
+    Two distinct corners are joined by a path of cube edges, one of which
+    joins distinct corners, so such a cube has degree at least 1.
     """
-    for k, getters in subcube_getters(cube_dim(corners)):
+    n = cube_dim(corners)
+    distinct = len(set(corners))
+    if distinct == len(corners):
+        return n
+    if distinct == 1:
+        return 0
+    # levels run k = n down to 1; start at the largest k with 2^k <= distinct
+    for k, getters in subcube_getters(n)[n + 1 - distinct.bit_length():-1]:
         size = 1 << k
         for get in getters:
             if len(set(get(corners))) == size:
                 return k
-    return 0
+    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,11 @@ vectors themselves.  The kernel is small: `axpy` updates a sparse vector,
 lattice modulo a sublattice, `lattice_torsion` reads the torsion of a
 quotient of Z^n from the echelon rows whose pivot is not +-1, through the
 transform-free `smith_normal_form`, and `GF2Echelon.add` tracks a rank
-modulo 2.
+modulo 2.  `echelon_from_rows` adds exactly only the rows that raise that
+rank, and `_certified` proves the others redundant by one exact remainder
+each, packed: small ints side by side in one Python int, in lanes too wide
+to carry into each other (`_pack`, `_packed_sum`); `_check_composable`
+checks d o d = 0 the same way.
 """
 
 from bisect import bisect_left
@@ -220,11 +224,111 @@ def dense_to_sparse(vec):
 
 
 def echelon_from_rows(rows, ncols):
-    """Echelonize an iterable of rows (dense lists or sparse dicts)."""
-    ech = Echelon(ncols)
+    """Echelonize an iterable of rows (dense lists or sparse dicts, which
+    are not modified).
+
+    Most rows of a boundary matrix add nothing to the lattice of the rows
+    before them, so they are not all added exactly.  One `GF2Echelon` pass
+    picks the rows that raise the rank modulo 2, and only those are added,
+    sorted by their last entry as `spectral._image_quotient` replays its
+    columns.  If every pivot of this replay is +-1, its lattice L' is
+    saturated: an integer vector in its rational span has integer
+    coordinates over the rows.  Reduced to row-echelon form R, a rational
+    combination of the rows is fixed by its entries at the pivots, so a row
+    v lies in L' iff the remainder v - sum over pivots j of v_j R_j / R_jj
+    vanishes.  L' lies in the lattice L of all rows, so zero remainders for
+    every rejected row prove L' = L (`_certified`).
+
+    The remainders are evaluated packed: one Python int per reduced row,
+    a lane per non-pivot coordinate, each row packed from its own lowest
+    lane.  A lane holds v_c - sum_j v_j R_jc / R_jj, at most |v|_1 * max|R|
+    in absolute value; lanes that wide cannot carry into each other, so the
+    packed remainder is 0 iff every lane is (`_packed_sum`).  A non-unit
+    pivot or a nonzero remainder sends the rows not yet certified through
+    exact `Echelon.add`, as copies.
+    """
+    gf2 = GF2Echelon()
+    picked, rejected = [], []
     for r in rows:
-        ech.add(dict(r) if isinstance(r, dict) else dense_to_sparse(r))
+        checkpoint()
+        if not isinstance(r, dict):
+            r = dense_to_sparse(r)
+        (picked if gf2.add(r) else rejected).append(r)
+    ech = Echelon(ncols)
+    for r in sorted(picked, key=max):
+        ech.add(dict(r))
+    done = _certified(ech, rejected) if ech.has_unit_pivots() else 0
+    for r in rejected[done:]:
+        ech.add(dict(r))
     return ech
+
+
+def _pack(vec, width):
+    """(shift, P) for a sparse vector keyed by lane, P holding its entry at
+    lane k as P's digit k - lo in base 2^width, lo being its lowest lane,
+    and shift = width * lo; so P << shift packs the vector, and P grows
+    with the span of the vector's lanes, not with their position."""
+    if not vec:
+        return 0, 0
+    lo = min(vec)
+    return width * lo, sum(v << width * (k - lo) for k, v in vec.items())
+
+
+def _lane_width(coeffs, vectors):
+    """Lane width, in bits, for sums of `vectors` weighted by any of the
+    coefficient vectors `coeffs`: a lane of such a sum is at most
+    |c|_1 * max|vector entry| in absolute value, and stays below 2^width."""
+    big = max((abs(v) for vec in vectors for v in vec.values()), default=0)
+    norm = max((sum(map(abs, c.values())) for c in coeffs), default=0)
+    return (norm * big).bit_length()
+
+
+def _packed_sum(vec, packed):
+    """sum of a * P << shift over the entries a at j of `vec`, with
+    (shift, P) = packed[j]: the packed combination of the vectors packed[j].
+
+    It is 0 iff every lane of the combination is, when each lane is below
+    2^width in absolute value for the lane width of the packing: the
+    lowest nonzero lane s, at lane k, leaves s * 2^(width * k) modulo
+    2^(width * (k + 1)), which is not 0."""
+    acc = 0
+    for j, a in vec.items():
+        shift, p = packed[j]
+        acc += a * p << shift
+    return acc
+
+
+def _certified(ech, rows):
+    """Bring `ech`, whose pivots are all +-1, to reduced row-echelon form
+    R in place, and return how many leading `rows` are proved to lie in
+    its lattice: those whose remainder v - sum over pivots j of v_j R_j
+    vanishes (see `echelon_from_rows`)."""
+    basis, pivots = ech.rows, ech.pivots
+    where = {j: k for k, j in enumerate(pivots)}
+    # bottom up: a subtracted row is already reduced, so it clears its own
+    # pivot and touches only non-pivot columns
+    for k in range(len(basis) - 1, -1, -1):
+        row = basis[k]
+        for j in [j for j in row if j in where and j != pivots[k]]:
+            unit = basis[where[j]]
+            axpy(row, -row[j] * unit[j], unit)
+    lane = {j: i for i, j in enumerate(sorted(
+        {j for row in basis for j in row if j not in where}))}
+    # a lane holds v_c - sum_j v_j R_jc / R_jj, and max|R| >= 1 covers v_c
+    width = _lane_width(rows, basis)
+    # a non-pivot coordinate enters the remainder as itself, a pivot j as
+    # -R_j times the pivot's sign, the coefficient being v_j / R_jj
+    table = {j: (width * i, 1) for j, i in lane.items()}
+    for row, j in zip(basis, pivots):
+        shift, p = _pack({lane[i]: v for i, v in row.items() if i in lane},
+                         width)
+        table[j] = shift, -p * row[j]
+    keys = table.keys()
+    for done, vec in enumerate(rows):
+        checkpoint()
+        if not vec.keys() <= keys or _packed_sum(vec, table):
+            return done
+    return len(rows)
 
 
 def split_echelon(columns, top, bottom):
@@ -560,16 +664,18 @@ def subquotient_homology(d_in, d_out):
 
 
 def _check_composable(d_in, d_out):
-    # exact check that d_out o d_in = 0, column by column
+    """Exact check that d_out o d_in = 0: each d_out column is packed into
+    one int with a lane per row (`_pack`), and each d_in column sums them
+    (`_packed_sum`).  A lane of the sum is at most |col|_1 * max|d_out| in
+    absolute value, which fixes the lane width (`_lane_width`)."""
     in_cols, mid, _ = d_in
     out_cols, _, out_ncols = d_out
     if mid != out_ncols:
         raise ValueError("boundary matrices are not composable")
+    width = _lane_width(in_cols, out_cols)
+    packed = [_pack(col, width) for col in out_cols]
     for col in in_cols:
-        acc = {}
-        for j, a in col.items():
-            axpy(acc, a, out_cols[j])
-        if acc:
+        if _packed_sum(col, packed):
             raise ContractViolation("boundary of a boundary is nonzero")
 
 

@@ -241,6 +241,40 @@ def test_degree_matches_oracle_on_random_corners(n):
     assert seen == set(range(n + 1))
 
 
+def _table_degree(corners):
+    """The subcube-table scan that `cube_degree` ran before it counted
+    distinct corners: every level k = n down to 1, every subcube."""
+    for k, getters in subcube_getters(cube_dim(corners)):
+        size = 1 << k
+        for get in getters:
+            if len(set(get(corners))) == size:
+                return k
+    return 0
+
+
+def test_degree_shortcut_matches_table_scan_on_all_cubes():
+    rng = random.Random(20261018)
+    graphs = []
+    for nv in range(2, 8):
+        for _ in range(3):
+            pairs = list(combinations(range(nv), 2))
+            edges = [e for e in pairs if rng.random() < 0.35][:8]
+            graphs.append((Graph(nv, edges), 3))
+    # every 4-cube on a one-edge graph: 2^16 maps on the edge's ends
+    nv = rng.randint(2, 7)
+    graphs.append((Graph(nv, [tuple(rng.sample(range(nv), 2))]), 4))
+    seen = set()
+    for g, top in graphs:
+        for n in range(top + 1):
+            for c in singular_cubes(g, n, "all"):
+                d = cube_degree(c)
+                assert d == _table_degree(c), c
+                seen.add((n, d))
+    # an injective 3-cube needs 8 vertices
+    assert seen == {(n, d) for n in range(4) for d in range(min(n, 2) + 1)
+                    } | {(4, 0), (4, 1)}
+
+
 def test_subcube_table_sizes():
     assert subcube_getters(0) == ()
     for n in range(1, 7):

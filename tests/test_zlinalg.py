@@ -3,6 +3,8 @@ import random
 import pytest
 
 from cubehom.budget import BudgetExhausted, clear_time_budget, set_time_budget
+from cubehom.chains import normalized_complex
+from cubehom.graphs import greene_sphere
 from cubehom.zlinalg import (
     AbelianGroup,
     ContractViolation,
@@ -506,3 +508,164 @@ def test_gf2_echelon_matches_list_elimination_random():
             if k not in ech.rows:
                 mask = sum(1 << p for p, r in ech.rows.items() if r >> k & 1)
                 assert ech.holders.get(k, 0) == mask
+
+
+# ---------------------------------------------------------------------------
+# echelon_from_rows: GF(2) pick, exact replay, packed certificate
+# ---------------------------------------------------------------------------
+
+def _sequential_echelon(rows, ncols):
+    """Every row through exact `Echelon.add`, in order: the reference for
+    `echelon_from_rows`."""
+    ech = Echelon(ncols)
+    for r in rows:
+        ech.add(dict(r) if isinstance(r, dict) else dense_to_sparse(r))
+    return ech
+
+
+def _assert_same_lattice(rows, ncols, feed=None):
+    """echelon_from_rows(feed or rows) spans the lattice of `rows`, as an
+    echelon, and leaves the input rows as they were."""
+    before = [dict(r) if isinstance(r, dict) else list(r) for r in rows]
+    got = echelon_from_rows(rows if feed is None else feed(rows), ncols)
+    assert rows == before
+    want = _sequential_echelon(rows, ncols)
+    assert got.rank == want.rank and got.pivots == want.pivots
+    assert all(min(r) == j and r[j] > 0 for r, j in zip(got.rows, got.pivots))
+    assert all(got.contains(r) for r in want.rows)
+    assert all(want.contains(r) for r in got.rows)
+    assert lattice_torsion(got) == lattice_torsion(want)
+    return got
+
+
+def _combination(rng, base, scale=2):
+    vec = {}
+    for row in base:
+        axpy(vec, rng.randint(-scale, scale), row)
+    return vec
+
+
+def test_echelon_from_rows_matches_sequential_adds_random():
+    rng = random.Random(71)
+    for _ in range(150):
+        ncols = rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 0.9))
+        rows = [{j: rng.randint(-3, 3) for j in range(ncols)
+                 if rng.random() < density} for _ in range(rng.randint(0, 12))]
+        rows = [{j: v for j, v in r.items() if v} for r in rows]
+        _assert_same_lattice(rows, ncols)
+        # mostly redundant rows over a few generators: the certified path
+        base = rows[:rng.randint(0, 4)]
+        more = base + [_combination(rng, base) for _ in range(15)]
+        rng.shuffle(more)
+        _assert_same_lattice(more, ncols)
+
+
+def test_echelon_from_rows_gf2_dependent_rows():
+    # dependent modulo 2, independent over Q: each must reach the exact adds
+    for rows, ncols, torsion in (
+            ([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, (2,)),
+            ([{0: 1}, {1: 1}, {2: 2}], 3, (2,)),
+            ([{0: 1, 1: 1}, {0: 3, 1: 3}, {2: 1}], 3, ()),
+            ([{0: 1, 1: 1, 2: 1}, {0: 3, 1: 1, 2: 5}], 3, (2,)),
+            ([{0: 1, 1: 1, 2: 1}, {0: 1, 2: 1}, {1: 1, 2: 1},
+              {0: 1, 1: 1, 2: 2}], 3, ()),
+            ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3, (2,)),
+            # unreduced, (1, 1, 0) would hide the remainder 2 e_2 of (2, 1, 1)
+            ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 2, 1: 1, 2: 1}], 3, (2,))):
+        got = _assert_same_lattice(rows, ncols)
+        assert lattice_torsion(got) == torsion
+
+
+def test_echelon_from_rows_non_unit_pivots_take_the_exact_adds():
+    for rows, ncols in (
+            ([[2, 0], [0, 3]], 2),
+            ([[3, 1], [1, 3]], 2),     # (1, 3) - 3 (3, 1) vanishes off pivots
+            ([[3, 1], [5, 1]], 2),     # (5, 1) - (5 // 3) (3, 1) too
+            ([[3, 1, 0], [1, 1, 2], [0, 2, 5]], 3),
+            ([[6, 0, 0], [0, 10, 0], [0, 0, 15], [2, 2, 2]], 3)):
+        got = _assert_same_lattice(rows, ncols)
+        assert got.rank == min(len(rows), ncols)
+
+
+def test_echelon_from_rows_lane_width_near_2_40():
+    # (1, 1 + 2^42, -1) - (1, 1, 1) has lanes 2^42 and -2; in lanes two
+    # bits narrower than |v|_1 * max|R| = 2^42 + 3 needs, they would cancel
+    w = 40
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1 + (1 << (w + 2)), 2: -1}]
+    assert _assert_same_lattice(rows, 3).rank == 2
+    rng = random.Random(72)
+    for _ in range(40):
+        base = [{j: rng.randint(-1, 1) for j in range(6)} for _ in range(3)]
+        base = [{j: v for j, v in r.items() if v} for r in base]
+        rows = base + [_combination(rng, base, 1 << w) for _ in range(8)]
+        k = rng.randrange(len(rows))
+        j = rng.randrange(6)
+        rows[k][j] = rows[k].get(j, 0) + (rng.choice((-2, 2)) << w)
+        rows = [{j: v for j, v in r.items() if v} for r in rows]
+        _assert_same_lattice(rows, 6)
+
+
+def test_echelon_from_rows_generator_and_dense_input():
+    rng = random.Random(73)
+    for _ in range(30):
+        ncols = rng.randint(1, 7)
+        base = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(3)]
+        dense = base + [[sum(rng.randint(-2, 2) * b[j] for b in base)
+                         for j in range(ncols)] for _ in range(6)]
+        _assert_same_lattice(dense, ncols)
+        sparse = [dense_to_sparse(r) for r in dense]
+        _assert_same_lattice(sparse, ncols, feed=iter)
+        _assert_same_lattice(sparse, ncols,
+                             feed=lambda rows: (r for r in rows))
+
+
+@pytest.fixture(scope="module")
+def gs4():
+    return normalized_complex(greene_sphere(4), 3)
+
+
+def test_echelon_from_rows_adds_only_the_gf2_picks(monkeypatch, gs4):
+    # the 21,552 boundary columns of d_3 of greene-sphere(4) span a lattice
+    # of rank 344 with unit pivots: one exact add per rank step
+    c = gs4
+    adds = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add",
+                        lambda ech, vec: adds.append(1) or add(ech, vec))
+    ech = echelon_from_rows(c.columns[3], c.dim(2))
+    assert ech.rank == 344 and len(adds) == 344
+    monkeypatch.undo()
+    assert ech.pivots == _sequential_echelon(c.columns[3], c.dim(2)).pivots
+
+
+# ---------------------------------------------------------------------------
+# packed d o d = 0 check
+# ---------------------------------------------------------------------------
+
+def test_composable_check_catches_one_changed_boundary_entry(gs4):
+    c = gs4
+    d_out = (c.columns[2], c.dim(1), c.dim(2))
+    d_in = (c.columns[3], c.dim(2), c.dim(3))
+    assert subquotient_homology(d_in, d_out).invariants() == (1, ())
+    j, i = next((j, i) for j, col in enumerate(c.columns[3])
+                for i in col if c.columns[2][i])
+    cols = list(c.columns[3])
+    cols[j] = dict(cols[j])
+    cols[j][i] += 1
+    with pytest.raises(ContractViolation):
+        subquotient_homology((cols, c.dim(2), c.dim(3)), d_out)
+    with pytest.raises(ContractViolation):
+        subquotient_presentation((cols, c.dim(2), c.dim(3)), d_out)
+
+
+def test_composable_check_lane_width():
+    # d_out o d_in = (2^k, -1): |col|_1 * max|d_out| = 2^k + 1 takes k + 1
+    # bits, and in lanes of k bits 2^k - 1 * 2^k would read 0
+    for k in (1, 5, 40):
+        d_out = ([{0: 1}, {1: 1}], 2, 2)
+        with pytest.raises(ContractViolation):
+            subquotient_homology(([{0: 1 << k, 1: -1}], 2, 1), d_out)
+    d_out = triple([[1, 1, 0], [0, 1, 1]], 3)
+    d_in = ([{0: 1 << 40, 1: -(1 << 40), 2: 1 << 40}], 3, 1)
+    assert subquotient_homology(d_in, d_out).invariants() == (0, (1 << 40,))
