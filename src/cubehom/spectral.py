@@ -16,6 +16,7 @@ past the cubes of degree above the level span the part inside it.
 """
 
 from bisect import bisect_left
+from collections import deque
 from itertools import chain
 
 from .budget import BudgetExhausted
@@ -34,9 +35,11 @@ from .zlinalg import (
     GroupMap,
     axpy,
     echelon_from_rows,
+    gf2_pick,
     homology_at,
     lattice_torsion,
     quotient_in,
+    replay,
     split_echelon,
 )
 
@@ -96,12 +99,8 @@ def _d1_map(c, p, n, source, target):
         bnd = {}
         for jq, a in kvec.items():
             axpy(bnd, a, c.columns[n][full_index[src_basis[jq]]])
-        proj = {}
-        for i, v in bnd.items():
-            pos = tgt_index.get(c.basis[n - 1][i])
-            if pos is not None:
-                proj[pos] = v
-        coeffs = target.kernel.express(proj)
+        coeffs = target.kernel.express(_project(bnd, c.basis[n - 1],
+                                                tgt_index))
         if coeffs is None:
             raise ContractViolation(
                 "projected boundary is not a cycle in the target slice")
@@ -171,32 +170,29 @@ def bottom_edge_group(c, p):
         return AbelianGroup.trivial(), ()
     c.require(p + 1, f"relations of the degree-{p} slice at dimension {p}")
     index = {cube: i for i, cube in enumerate(basis)}
-    rels = Echelon(len(basis))
-    for j, cube in enumerate(c.basis[p + 1]):
-        if c.degrees[p + 1][j] != p:
-            continue
-        col = {}
-        for i, v in c.columns[p + 1][j].items():
-            pos = index.get(c.basis[p][i])
-            if pos is not None:
-                col[pos] = v
-        rels.add(col)
+    above = [cube for cube, d in zip(c.basis[p + 1], c.degrees[p + 1])
+             if d == p]
+    rels = echelon_from_rows(_edge_columns(c, p + 1, above, index),
+                             len(basis))
     return AbelianGroup(len(basis), rels), basis
 
 
-def _edge_columns(c, p, basis, target_index):
-    """Boundary columns of injective p-cubes, restricted to injective
-    (p-1)-cube rows."""
-    cols = []
-    for cube in basis:
-        j = c.index[p][cube]
-        col = {}
-        for i, v in c.columns[p][j].items():
-            pos = target_index.get(c.basis[p - 1][i])
-            if pos is not None:
-                col[pos] = v
-        cols.append(col)
-    return cols
+def _project(col, basis, index):
+    """The entries of a column over `basis` at the cubes that `index`
+    holds, keyed by their positions there."""
+    out = {}
+    for i, v in col.items():
+        pos = index.get(basis[i])
+        if pos is not None:
+            out[pos] = v
+    return out
+
+
+def _edge_columns(c, p, cubes, target_index):
+    """Boundary columns of the p-cubes `cubes`, restricted to the rows of
+    the (p-1)-cubes in `target_index`."""
+    return [_project(c.columns[p][c.index[p][cube]], c.basis[p - 1],
+                     target_index) for cube in cubes]
 
 
 def edge_map(c, p, source=None, target=None):
@@ -374,8 +370,6 @@ def h2_exact_sequence(c):
 # streaming slice homology (large top dimensions)
 # ---------------------------------------------------------------------------
 
-# columns one coface stream may try per round of the GF(2) filter
-ROUND_TRIES = 32
 # exact adds between two saturation checks of the exact pass
 CHECK_EVERY = 256
 
@@ -406,81 +400,35 @@ def _slice_basis(g, k, n):
             if cube_degree(cube) == k]
 
 
-def _image_quotient(ncols, cycle_rank, column, streams, outside, progress):
+def _image_quotient(ncols, cycle_rank, columns, progress):
     """Cycles modulo the image, for an image spanned by streamed columns.
 
     The cycles are a saturated sublattice of Z^ncols of rank `cycle_rank`
-    containing every column.  `column(c)` is a candidate's column, or None
-    when the candidate does not count; candidates come from the iterators
-    in `streams` and then from `outside`.
-
-    Phase 1 visits the streams round-robin, pulling from each until a
-    column raises the GF(2) rank or ROUND_TRIES columns have failed to, so
-    the admitted columns spread over the whole lattice.  The admitted
-    columns are replayed exactly: rank `cycle_rank` with unit pivots makes
-    the image a saturated sublattice of the cycles of equal rank, hence
-    equal to them, and the group is 0.  Otherwise phase 2 adds every other
-    column exactly once, the ones already pulled first, checking for that
+    containing every column of the iterator `columns`.  `gf2_pick` takes
+    the columns that raise the GF(2) rank until it reaches the cycle rank,
+    and `replay` adds them exactly: rank `cycle_rank` with unit pivots
+    makes the image a saturated sublattice of the cycles of equal rank,
+    hence equal to them, and the group is 0.  Otherwise every other column
+    is added exactly once, the rejected ones first, checking for that
     saturation every CHECK_EVERY columns.
     """
     progress.phase = "GF(2) filter"
     gf2 = progress.echelon = GF2Echelon()
-    admitted, rest = [], []
-    live = streams
-    while live and gf2.rank < cycle_rank:
-        kept = []
-        for it in live:
-            tries = 0
-            for c in it:
-                progress.pulled += 1
-                col = column(c)
-                if col is None:
-                    continue
-                if gf2.add(col):
-                    admitted.append(col)
-                    break
-                rest.append(col)
-                tries += 1
-                if tries == ROUND_TRIES:
-                    break
-            else:
-                continue  # a stream that runs dry leaves the rotation
-            kept.append(it)
-            if gf2.rank == cycle_rank:
-                break
-        live = kept
-
+    picked, rejected = gf2_pick(columns, gf2, cycle_rank)
     progress.phase = "exact replay"
     img = progress.echelon = Echelon(ncols)
+    replay(img, picked)
 
     def saturated():
         return img.rank == cycle_rank and img.has_unit_pivots()
 
-    # the order changes the basis, not the lattice; columns that end
-    # early first keep the fill-in and the coefficients small
-    for col in sorted(admitted, key=max):
-        img.add(col)
     if saturated():
         return AbelianGroup.trivial()
-
     progress.phase = "exact pass"
-
-    def columns():
-        yield from rest
-        for c in chain(*streams, outside):
-            progress.pulled += 1
-            col = column(c)
-            if col is not None:
-                yield col
-
-    since_check = 0
-    for col in columns():
+    for i, col in enumerate(chain(rejected, columns), 1):
         img.add(col)
-        since_check += 1
-        if since_check == CHECK_EVERY:
-            since_check = 0
-            if saturated():
-                return AbelianGroup.trivial()
+        if i % CHECK_EVERY == 0 and saturated():
+            return AbelianGroup.trivial()
     if img.rank > cycle_rank:
         raise ContractViolation("the image outranks the cycle lattice")
     return AbelianGroup.from_invariants(cycle_rank - img.rank,
@@ -498,13 +446,14 @@ def quotient_homology(g, k, n, threads=1):
     per slice-basis cube s, and then the cofaces of the other n-cubes of
     degree at most k (a cube's degree is at least its faces').
 
-    A GF(2) filter over the coface streams picks columns for an exact
-    replay, which settles H = 0 as soon as it reaches the cycle rank with
-    unit pivots; any other outcome takes one exact pass over the rest of
-    the stream, which enumerates, degree-tests and adds each cube once
-    (see `_image_quotient`).  Like every computation here it runs in the
-    calling process; `threads` is accepted for the callers that pass it
-    and ignored.
+    `_image_quotient` sees one column iterator: one degree-k column from
+    each coface stream in turn, so the columns spread over the whole slice
+    basis early, then the other cofaces.  Its GF(2) pick and exact replay
+    settle H = 0 as soon as the replay reaches the cycle rank with unit
+    pivots; any other outcome takes one exact pass over the rest of the
+    stream, which enumerates, degree-tests and adds each cube once.  Like
+    every computation here it runs in the calling process; `threads` is
+    accepted for the callers that pass it and ignored.
 
     A budget stop re-raises BudgetExhausted with the phase, the rank
     reached against the cycle rank and the candidates pulled.
@@ -523,18 +472,30 @@ def quotient_homology(g, k, n, threads=1):
                 out_rank.add(_boundary_column(cube, n, below_index))
         progress.cycle_rank = len(here) - out_rank.rank
 
-        def column(cube):
-            if cube_degree(cube) == k:
-                return _boundary_column(cube, n + 1, here_index)
-            return None
+        def cofaces(front):
+            return singular_cubes(g, n + 1, "nondegenerate", prefix=front)
 
-        streams = [singular_cubes(g, n + 1, "nondegenerate", prefix=front)
-                   for front in here]
-        outside = (cube for front in singular_cubes(g, n, "all")
-                   if front not in here_index and cube_degree(front) <= k
-                   for cube in singular_cubes(g, n + 1, "nondegenerate",
-                                              prefix=front))
-        return _image_quotient(len(here), progress.cycle_rank, column,
-                               streams, outside, progress)
+        def counting(cubes):
+            for cube in cubes:
+                progress.pulled += 1
+                if cube_degree(cube) == k:
+                    yield _boundary_column(cube, n + 1, here_index)
+
+        def columns():
+            # a stream that runs dry leaves the turn
+            turn = deque(counting(cofaces(front)) for front in here)
+            while turn:
+                stream = turn.popleft()
+                col = next(stream, None)
+                if col is not None:
+                    yield col
+                    turn.append(stream)
+            yield from counting(
+                cube for front in singular_cubes(g, n, "all")
+                if front not in here_index and cube_degree(front) <= k
+                for cube in cofaces(front))
+
+        return _image_quotient(len(here), progress.cycle_rank, columns(),
+                               progress)
     except BudgetExhausted as e:
         raise BudgetExhausted(f"slice homology stopped {progress}") from e

@@ -21,11 +21,12 @@ vectors themselves.  The kernel is small: `axpy` updates a sparse vector,
 lattice modulo a sublattice, `lattice_torsion` reads the torsion of a
 quotient of Z^n from the echelon rows whose pivot is not +-1, through the
 transform-free `smith_normal_form`, and `GF2Echelon.add` tracks a rank
-modulo 2.  `echelon_from_rows` adds exactly only the rows that raise that
-rank, and `_certified` proves the others redundant by one exact remainder
-each, packed: small ints side by side in one Python int, in lanes too wide
-to carry into each other (`_pack`, `_packed_sum`); `_check_composable`
-checks d o d = 0 the same way.
+modulo 2.  `gf2_pick` picks the rows that raise that rank and `replay`
+adds them exactly; `echelon_from_rows` adds the other rows exactly only
+when `_certified` cannot prove them redundant by one exact remainder each,
+packed: small ints side by side in one Python int, in lanes too wide to
+carry into each other (`_pack`, `_packed_sum`); `_check_composable` checks
+d o d = 0 the same way.
 """
 
 from bisect import bisect_left
@@ -223,15 +224,37 @@ def dense_to_sparse(vec):
     return {i: v for i, v in enumerate(vec) if v}
 
 
+def gf2_pick(rows, gf2, rank=None):
+    """Split the iterator `rows` of sparse vectors, in one pass, into the
+    ones that raise the rank of `gf2` modulo 2 and the rest: returns
+    (picked, rejected).  The pass stops before pulling another row once
+    that rank reaches `rank`, so the caller can go on with `rows`."""
+    picked, rejected = [], []
+    while gf2.rank != rank:
+        r = next(rows, None)
+        if r is None:
+            break
+        checkpoint()
+        (picked if gf2.add(r) else rejected).append(r)
+    return picked, rejected
+
+
+def replay(ech, rows):
+    """Add copies of `rows` to `ech` exactly, sorted by their last entry:
+    the order changes the basis, not the lattice, and rows that end early
+    first keep the fill-in and the coefficients small."""
+    for r in sorted(rows, key=max):
+        ech.add(dict(r))
+
+
 def echelon_from_rows(rows, ncols):
     """Echelonize an iterable of rows (dense lists or sparse dicts, which
     are not modified).
 
     Most rows of a boundary matrix add nothing to the lattice of the rows
-    before them, so they are not all added exactly.  One `GF2Echelon` pass
-    picks the rows that raise the rank modulo 2, and only those are added,
-    sorted by their last entry as `spectral._image_quotient` replays its
-    columns.  If every pivot of this replay is +-1, its lattice L' is
+    before them, so they are not all added exactly: `gf2_pick` picks the
+    rows that raise the rank modulo 2, and only those are added (`replay`).
+    If every pivot of this replay is +-1, its lattice L' is
     saturated: an integer vector in its rational span has integer
     coordinates over the rows.  Reduced to row-echelon form R, a rational
     combination of the rows is fixed by its entries at the pivots, so a row
@@ -247,16 +270,11 @@ def echelon_from_rows(rows, ncols):
     pivot or a nonzero remainder sends the rows not yet certified through
     exact `Echelon.add`, as copies.
     """
-    gf2 = GF2Echelon()
-    picked, rejected = [], []
-    for r in rows:
-        checkpoint()
-        if not isinstance(r, dict):
-            r = dense_to_sparse(r)
-        (picked if gf2.add(r) else rejected).append(r)
+    picked, rejected = gf2_pick(
+        (r if isinstance(r, dict) else dense_to_sparse(r) for r in rows),
+        GF2Echelon())
     ech = Echelon(ncols)
-    for r in sorted(picked, key=max):
-        ech.add(dict(r))
+    replay(ech, picked)
     done = _certified(ech, rejected) if ech.has_unit_pivots() else 0
     for r in rejected[done:]:
         ech.add(dict(r))

@@ -1,9 +1,10 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
-from cubehom import cubes, zlinalg
+from cubehom import cubes, spectral, zlinalg
 from cubehom.budget import BudgetExhausted, DimensionBudgetError
 from cubehom.chains import homology, homology_presentation, normalized_complex
 from cubehom.graphs import (
@@ -340,11 +341,39 @@ def test_quotient_homology_matches_page(sphere4):
                     page.entry(k, n - k).invariants(), (g.n, k, n)
 
 
-def _hand_built(columns, ncols, cycle_rank, streams=1):
-    """`_image_quotient` on literal columns dealt round-robin over
-    `streams` coface streams, with nothing outside them."""
-    deal = [iter(columns[i::streams]) for i in range(streams)]
-    return _image_quotient(ncols, cycle_rank, dict, deal, iter(()),
+def test_full_stream_hands_over_every_column_once(monkeypatch, sphere4):
+    # E1[2,0] of greene-sphere(4) is Z^8, so the image never saturates and
+    # the column iterator runs dry: it must yield each degree-2 3-cube's
+    # boundary on the degree-2 squares once, whatever the stream order
+    c, g, seen = sphere4, greene_sphere(4), {}
+    image_quotient = spectral._image_quotient
+
+    def record(ncols, cycle_rank, columns, progress):
+        # copies: the exact pass consumes the columns it adds
+        columns = list(columns)
+        seen["columns"] = [dict(col) for col in columns]
+        seen["progress"] = progress
+        return image_quotient(ncols, cycle_rank, iter(columns), progress)
+
+    monkeypatch.setattr(spectral, "_image_quotient", record)
+    assert quotient_homology(g, 2, 2).invariants() == (8, ())
+    here = spectral._slice_basis(g, 2, 2)
+    squares = {q for q, d in zip(c.basis[2], c.degrees[2]) if d == 2}
+    assert set(here) == squares
+    expected = Counter(
+        frozenset((c.basis[2][i], v) for i, v in col.items()
+                  if c.basis[2][i] in squares)
+        for col, d in zip(c.columns[3], c.degrees[3]) if d == 2)
+    streamed = Counter(frozenset((here[i], v) for i, v in col.items())
+                       for col in seen["columns"])
+    assert streamed == expected
+    assert len(seen["columns"]) == sum(expected.values()) == 7488
+    assert seen["progress"].pulled == len(c.basis[3]) == 21552
+
+
+def _hand_built(columns, ncols, cycle_rank):
+    """`_image_quotient` on literal columns, in the order given."""
+    return _image_quotient(ncols, cycle_rank, iter(columns),
                            _Progress()).invariants()
 
 
@@ -354,12 +383,12 @@ def test_image_quotient_full_gf2_rank_with_a_non_unit_pivot():
     assert _hand_built([{0: 3}], 1, 1) == (0, (3,))
     # the exact pass then finds the column that saturates it
     assert _hand_built([{0: 3}, {0: 2}], 1, 1) == (0, ())
-    assert _hand_built([{0: 1, 1: 2}, {0: 1, 1: -1}, {1: 3}], 2, 2,
-                       streams=2) == (0, (3,))
+    assert _hand_built([{0: 1, 1: 2}, {0: 1, 1: -1}, {1: 3}], 2, 2) \
+        == (0, (3,))
 
 
 def test_replay_with_a_non_unit_pivot_on_a_path(monkeypatch):
-    # found by search: on this labeling of the path 0-2-1-3 the GF(2)
+    # found by search: on this labeling of the path 0-2-3-1 the GF(2)
     # filter reaches the cycle rank of E1[1,2], the exact replay keeps a
     # non-unit pivot, and the exact pass then saturates the image.  The
     # full first page (447,342 4-cubes, minutes) also gives E1[1,2] = 0.
@@ -377,7 +406,7 @@ def test_replay_with_a_non_unit_pivot_on_a_path(monkeypatch):
 
     monkeypatch.setattr(Echelon, "has_unit_pivots", has_unit_pivots)
     monkeypatch.setattr(GF2Echelon, "add", gf2_add)
-    g = Graph(4, [(0, 2), (1, 2), (1, 3)])
+    g = Graph(4, [(0, 2), (2, 3), (3, 1)])
     assert quotient_homology(g, 1, 3).is_trivial
     # the first saturation check is the replay's, at the GF(2) rank
     assert checks[0] == (gf2_rank[0], False)
@@ -386,12 +415,12 @@ def test_replay_with_a_non_unit_pivot_on_a_path(monkeypatch):
 def test_image_quotient_streams_dry_below_the_cycle_rank():
     # 2 e_0 is 0 modulo 2; the exact pass sees it and the torsion
     assert _hand_built([{0: 2}, {1: 1}], 2, 2) == (0, (2,))
-    assert _hand_built([{1: 1}], 2, 2, streams=3) == (1, ())
+    assert _hand_built([{1: 1}], 2, 2) == (1, ())
 
 
 def test_image_quotient_rejects_columns_outside_the_cycles():
     with pytest.raises(ContractViolation, match="outranks"):
-        _hand_built([{0: 2}, {1: 2}], 2, 1, streams=2)
+        _hand_built([{0: 2}, {1: 2}], 2, 1)
 
 
 def _stop_at_call(monkeypatch, k):
