@@ -7,7 +7,9 @@ carries its degree (largest injective iterated-face dimension), so the
 filtration subcomplexes and their quotients are basis restrictions.
 
 Boundary matrices are stored as sparse columns ({row: coeff} dicts) and
-handed to `zlinalg` as they are; nothing here densifies them.
+handed to `zlinalg` as they are; nothing here densifies them.  Copied
+subcomplexes and the degree slices that `spectral` reads off a complex
+read a column on a sub-basis one way, by position (`_reindex`).
 """
 
 from .budget import DimensionBudgetError
@@ -79,6 +81,26 @@ def normalized_complex(g, max_dim):
     return BasedComplex(max_dim, basis, degrees, columns)
 
 
+def _reindex(col, remap):
+    """The entries of a sparse column at the positions `remap` holds, each
+    keyed by its new position there: the one way a column is read on a
+    sub-basis."""
+    return {remap[r]: v for r, v in col.items() if r in remap}
+
+
+def _restricted_columns(c, n, cols, rows):
+    """Boundary columns of the n-cubes at the positions `cols` of
+    c.basis[n], read on the (n-1)-cubes at the increasing positions
+    `rows` (`_reindex`)."""
+    remap = {old: new for new, old in enumerate(rows)}
+    return [_reindex(c.columns[n][i], remap) for i in cols]
+
+
+def _slice_positions(c, n, k):
+    """Positions in c.basis[n] of the cubes of degree exactly k."""
+    return [i for i, d in enumerate(c.degrees[n]) if d == k]
+
+
 def _restrict(c, keep):
     """Subcomplex on the selected basis positions.
 
@@ -88,22 +110,10 @@ def _restrict(c, keep):
     when the selection is closed under faces, and the quotient boundary
     when it is a degree slice.
     """
-    basis = []
-    degrees = []
-    columns = [[]]
-    remap = []
-    for n in range(c.max_dim + 1):
-        sel = keep[n]
-        remap.append({old: new for new, old in enumerate(sel)})
-        basis.append(tuple(c.basis[n][i] for i in sel))
-        degrees.append([c.degrees[n][i] for i in sel])
-        if n >= 1:
-            below = remap[n - 1]
-            cols = []
-            for i in sel:
-                old = c.columns[n][i]
-                cols.append({below[r]: v for r, v in old.items() if r in below})
-            columns.append(cols)
+    basis = [tuple(c.basis[n][i] for i in sel) for n, sel in enumerate(keep)]
+    degrees = [[c.degrees[n][i] for i in sel] for n, sel in enumerate(keep)]
+    columns = [[]] + [_restricted_columns(c, n, keep[n], keep[n - 1])
+                      for n in range(1, c.max_dim + 1)]
     return BasedComplex(c.max_dim, basis, degrees, columns)
 
 
@@ -122,9 +132,8 @@ def degree_quotient_complex(c, k):
     boundary keeping only degree-k faces."""
     if k < 0:
         raise ValueError("filtration index must be non-negative")
-    keep = [[i for i, d in enumerate(c.degrees[n]) if d == k]
-            for n in range(c.max_dim + 1)]
-    return _restrict(c, keep)
+    return _restrict(c, [_slice_positions(c, n, k)
+                         for n in range(c.max_dim + 1)])
 
 
 def _in_out(c, n):

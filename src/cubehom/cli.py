@@ -74,6 +74,16 @@ def _load_graph(args):
     return parse_edge_list(text)
 
 
+def _write(path, text):
+    """Write `text` to the file at `path`; a path that cannot be written
+    is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e}")
+
+
 def run_command(args):
     """Run one analysis command and print its output; returns the exit
     status."""
@@ -125,8 +135,7 @@ def compute_homology(g, args, results):
     c = normalized_complex(g, args.max_dim)
     results["chain_ranks"] = [c.dim(n) for n in range(args.max_dim + 1)]
     if args.dump_complex:
-        with open(args.dump_complex, "w", encoding="utf-8") as fh:
-            fh.write(dump_complex(c))
+        _write(args.dump_complex, dump_complex(c))
     _homology_entries(results, homology, c, args.max_dim)
 
 
@@ -176,9 +185,8 @@ def compute_cw_homology(g, args, results):
     c = build_cw_complex(g, args.max_dim)
     results["euler_characteristic"] = c.euler_characteristic
     if args.dump_cells:
-        with open(args.dump_cells, "w", encoding="utf-8") as fh:
-            json.dump(cw_to_json(c), fh, sort_keys=True)
-            fh.write("\n")
+        _write(args.dump_cells,
+               json.dumps(cw_to_json(c), sort_keys=True) + "\n")
     _homology_entries(results, cw_homology, c, args.max_dim)
 
 
@@ -204,9 +212,8 @@ def compute_check_mono(g, args, results):
     results.update(mode=mode, dim=args.dim, overall=report.overall,
                    cubes=cubes)
     if args.certificate:
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write(args.certificate,
+               json.dumps(results, sort_keys=True, indent=2) + "\n")
 
 
 def table_check_mono(results):

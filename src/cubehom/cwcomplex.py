@@ -39,14 +39,11 @@ class CwCubeComplex:
     max_dim.  cells[n] lists the n-cells as CubeSubgraph values; columns[n]
     holds sparse boundary columns into dimension n-1."""
 
-    __slots__ = ("graph", "max_dim", "cells", "index", "columns")
+    __slots__ = ("max_dim", "cells", "columns")
 
-    def __init__(self, graph, max_dim, cells, columns):
-        self.graph = graph
+    def __init__(self, max_dim, cells, columns):
         self.max_dim = max_dim
         self.cells = cells
-        self.index = [{(q.vertices, q.edges): i for i, q in enumerate(cs)}
-                      for cs in cells]
         self.columns = columns
 
     def dim(self, n):
@@ -101,7 +98,7 @@ def build_cw_complex(g, max_dim):
                     del col[pos]
             cols.append(col)
         columns.append(cols)
-    return CwCubeComplex(g, max_dim, cells, columns)
+    return CwCubeComplex(max_dim, cells, columns)
 
 
 def cw_to_json(c):
@@ -171,7 +168,7 @@ class ComparisonMap:
         self.kernel_basis = kernel
 
 
-def cell_to_degree_class(g, n, chain_complex=None, cw=None):
+def cell_to_degree_class(g, n):
     """Send each n-cell to the class of its canonical representative in
     the degree-n slice homology, and verify the comparison:
 
@@ -182,11 +179,8 @@ def cell_to_degree_class(g, n, chain_complex=None, cw=None):
     """
     from .spectral import bottom_edge_group, edge_map
 
-    if chain_complex is None:
-        chain_complex = normalized_complex(g, n + 1)
-    if cw is None:
-        cw = build_cw_complex(g, n)
-    chain_complex.require(n + 1, "the slice group at the cell dimension")
+    chain_complex = normalized_complex(g, n + 1)
+    cw = build_cw_complex(g, n)
     here = bottom_edge_group(chain_complex, n)
     group, basis = here
     cols = _rep_columns(cw.cells[n], basis)
@@ -200,7 +194,7 @@ def cell_to_degree_class(g, n, chain_complex=None, cw=None):
     chain_map_ok = True
     if n >= 1:
         below = bottom_edge_group(chain_complex, n - 1)
-        d1 = edge_map(chain_complex, n, source=here, target=below)
+        d1 = edge_map(chain_complex, n, here, below)
         below_group, below_basis = below
         cell_cols_below = _rep_columns(cw.cells[n - 1], below_basis)
         for j in range(cw.dim(n)):

@@ -36,9 +36,6 @@ class Graph:
         # closed neighborhoods as frozensets, the hot lookup in enumeration
         self.closed = tuple(frozenset(s | {v}) for v, s in enumerate(adj))
 
-    def __reduce__(self):
-        return (Graph, (self.n, tuple(self.edges())))
-
     def edges(self):
         """Edges as sorted (u, v) pairs with u < v, lexicographic order."""
         return [(u, v) for u in range(self.n) for v in self.nbrs[u] if u < v]

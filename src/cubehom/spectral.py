@@ -1,8 +1,10 @@
 """The spectral sequence of the degree filtration.
 
 First-page entries are the homology groups of the degree slices of the
-normalized complex; the page's differentials push a class through the
-full boundary and project one degree step down.  Classes are represented
+normalized complex, each slice read off the complex by the positions of
+its cubes (`chains._restricted_columns`), never copied; the bottom edge
+E1[p, 0] is the same entry at dimension p.  The page's differentials push a class
+through the full boundary and project one degree step down.  Classes are represented
 on kernel-basis vectors of the slice complexes, and the canonical lift of
 such a representative already has boundary one filtration step down, so
 the differential needs no correction term.
@@ -22,9 +24,9 @@ from itertools import chain
 from .budget import BudgetExhausted
 from .chains import (
     _boundary_column,
-    degree_quotient_complex,
+    _restricted_columns,
+    _slice_positions,
     homology,
-    homology_presentation,
 )
 from .cubes import cube_degree, singular_cubes
 from .zlinalg import (
@@ -41,6 +43,7 @@ from .zlinalg import (
     quotient_in,
     replay,
     split_echelon,
+    subquotient_presentation,
 )
 
 
@@ -78,58 +81,61 @@ class ConvergenceReport:
 # E^1 page with differentials
 # ---------------------------------------------------------------------------
 
-class _Entry:
-    __slots__ = ("quotient", "group", "kernel")
+def _slice_entry(c, p, n, sel, out):
+    """E1[p, n-p], the homology at n of the degree-p slice read off c:
+    sel[m] holds the positions of its m-cubes (from m = max(p, n-1) to
+    n+1) and `out` its boundary columns at n.  Returns (group, kernel,
+    into), `into` being its columns at n+1, the `out` of the next entry."""
+    into = _restricted_columns(c, n + 1, sel[n + 1], sel[n])
+    here = len(sel[n])
+    group, kernel, _ = subquotient_presentation(
+        (into, here, len(sel[n + 1])),
+        (out, len(sel[n - 1]) if n > p else 0, here))
+    return group, kernel, into
 
-    def __init__(self, quotient, group, kernel):
-        self.quotient = quotient
-        self.group = group
-        self.kernel = kernel
 
-
-def _d1_map(c, p, n, source, target):
+def _d1_map(c, n, source, target):
     """Differential from the (p, n-p) entry to (p-1, n-p): push a kernel
-    representative through the full boundary and keep the degree-(p-1)
-    part."""
+    representative through the boundary and keep the degree-(p-1) part.
+    source and target are (positions, group, kernel) triples."""
+    src_sel, src_group, src_kernel = source
+    tgt_sel, tgt_group, tgt_kernel = target
+    block = _restricted_columns(c, n, src_sel, tgt_sel)
     cols = []
-    src_basis = source.quotient.basis[n]
-    tgt_index = target.quotient.index[n - 1]
-    full_index = c.index[n]
-    for kvec in source.kernel.rows:
+    for kvec in src_kernel.rows:
         bnd = {}
         for jq, a in kvec.items():
-            axpy(bnd, a, c.columns[n][full_index[src_basis[jq]]])
-        coeffs = target.kernel.express(_project(bnd, c.basis[n - 1],
-                                                tgt_index))
+            axpy(bnd, a, block[jq])
+        coeffs = tgt_kernel.express(bnd)
         if coeffs is None:
             raise ContractViolation(
                 "projected boundary is not a cycle in the target slice")
         cols.append(coeffs)
-    return GroupMap(source.group, target.group, cols)
+    return GroupMap(src_group, tgt_group, cols)
 
 
 def e1_page(c, max_total):
     """First page of the degree spectral sequence for all p + q <= max_total.
 
     Entries vanish outside 0 <= p <= p+q, so only that triangle is stored.
-    Each degree slice is built once and serves every total degree.
-    Requires the complex through dimension max_total + 1.
+    Each slice is read off c by position (`_slice_entry`), never copied,
+    and each of its boundary columns is restricted once.  Requires the
+    complex through dimension max_total + 1.
     """
     if max_total < 0:
         raise ValueError("max_total must be non-negative")
     c.require(max_total + 1, "first page through this total degree")
-    slices = [degree_quotient_complex(c, p) for p in range(max_total + 1)]
-    cache = {}
-    for n in range(max_total + 1):
-        for p in range(n + 1):
-            group, kernel, _ = homology_presentation(slices[p], n)
-            cache[(p, n)] = _Entry(slices[p], group, kernel)
-    entries = {(p, n - p): e.group for (p, n), e in cache.items()}
-    differentials = {}
-    for (p, n), src in cache.items():
-        if p >= 1 and (p - 1, n - 1) in cache:
-            tgt = cache[(p - 1, n - 1)]
-            differentials[(p, n - p)] = _d1_map(c, p, n, src, tgt)
+    cache, entries, differentials = {}, {}, {}
+    for p in range(max_total + 1):
+        sel = [_slice_positions(c, n, p) for n in range(max_total + 2)]
+        out = [{}] * len(sel[p])  # a slice has no cubes below dimension p
+        for n in range(p, max_total + 1):
+            group, kernel, out = _slice_entry(c, p, n, sel, out)
+            entries[(p, n - p)] = group
+            cache[(p, n)] = sel[n], group, kernel
+            if p:
+                differentials[(p, n - p)] = _d1_map(
+                    c, n, cache[(p, n)], cache[(p - 1, n - 1)])
     return SpectralPage(1, entries, differentials)
 
 
@@ -154,9 +160,10 @@ def page_to_json(page):
 # ---------------------------------------------------------------------------
 
 def bottom_edge_group(c, p):
-    """H of the degree-p slice at its lowest live dimension p, presented on
-    the injective p-cubes (the slice has no chains below dimension p, so
-    every chain is a cycle).
+    """E1[p, 0], the homology of the degree-p slice at its lowest live
+    dimension p (`_slice_entry`).  The slice has no chains below dimension
+    p, so every chain is a cycle and the group is presented on the
+    injective p-cubes.
 
     Returns (group, basis) where basis lists the injective p-cubes in
     enumeration order.  When no injective p-cube exists the group is
@@ -165,51 +172,28 @@ def bottom_edge_group(c, p):
     if p < 0:
         return AbelianGroup.trivial(), ()
     c.require(p, f"degree-{p} slice")
-    basis = tuple(cube for cube, d in zip(c.basis[p], c.degrees[p]) if d == p)
-    if not basis:
+    here = _slice_positions(c, p, p)
+    if not here:
         return AbelianGroup.trivial(), ()
     c.require(p + 1, f"relations of the degree-{p} slice at dimension {p}")
-    index = {cube: i for i, cube in enumerate(basis)}
-    above = [cube for cube, d in zip(c.basis[p + 1], c.degrees[p + 1])
-             if d == p]
-    rels = echelon_from_rows(_edge_columns(c, p + 1, above, index),
-                             len(basis))
-    return AbelianGroup(len(basis), rels), basis
+    sel = {p: here, p + 1: _slice_positions(c, p + 1, p)}
+    group = _slice_entry(c, p, p, sel, [{}] * len(here))[0]
+    return group, tuple(c.basis[p][i] for i in here)
 
 
-def _project(col, basis, index):
-    """The entries of a column over `basis` at the cubes that `index`
-    holds, keyed by their positions there."""
-    out = {}
-    for i, v in col.items():
-        pos = index.get(basis[i])
-        if pos is not None:
-            out[pos] = v
-    return out
+def _edge_cover(c, n):
+    """Boundary columns of the injective n-cubes on the injective
+    (n-1)-cubes, the generators of the bottom edge at n and n-1."""
+    return _restricted_columns(c, n, _slice_positions(c, n, n),
+                               _slice_positions(c, n - 1, n - 1))
 
 
-def _edge_columns(c, p, cubes, target_index):
-    """Boundary columns of the p-cubes `cubes`, restricted to the rows of
-    the (p-1)-cubes in `target_index`."""
-    return [_project(c.columns[p][c.index[p][cube]], c.basis[p - 1],
-                     target_index) for cube in cubes]
-
-
-def edge_map(c, p, source=None, target=None):
-    """The differential H of slice p at dimension p -> slice p-1 at p-1."""
-    if source is None:
-        source = bottom_edge_group(c, p)
-    if target is None:
-        target = bottom_edge_group(c, p - 1)
-    src_group, src_basis = source
-    tgt_group, tgt_basis = target
-    if src_group.is_trivial and src_group.ngens == 0:
-        return GroupMap.zero(src_group, tgt_group)
-    if p == 0 or tgt_group.ngens == 0:
-        return GroupMap.zero(src_group, tgt_group)
-    tgt_index = {cube: i for i, cube in enumerate(tgt_basis)}
-    cols = _edge_columns(c, p, src_basis, tgt_index)
-    return GroupMap(src_group, tgt_group, cols)
+def edge_map(c, p, source, target):
+    """The differential H of slice p at dimension p -> slice p-1 at p-1,
+    between the bottom_edge_group pairs `source` and `target`."""
+    if p == 0:
+        return GroupMap.zero(source[0], target[0])
+    return GroupMap(source[0], target[0], _edge_cover(c, p))
 
 
 def _injective_cover(c, n, target):
@@ -222,12 +206,9 @@ def _injective_cover(c, n, target):
     data) are never needed.
     """
     c.require(n + 1, f"boundaries into the degree-{n} slice")
-    group, basis = target
-    above = tuple(cube for cube, d in zip(c.basis[n + 1], c.degrees[n + 1])
-                  if d == n + 1)
-    index = {cube: i for i, cube in enumerate(basis)}
-    return GroupMap(AbelianGroup.free(len(above)), group,
-                    _edge_columns(c, n + 1, above, index), check=False)
+    cols = _edge_cover(c, n + 1)
+    return GroupMap(AbelianGroup.free(len(cols)), target[0], cols,
+                    check=False)
 
 
 def injective_homology(c, n):
@@ -242,7 +223,7 @@ def injective_homology(c, n):
     if n < 0:
         raise ValueError("degree must be non-negative")
     here = bottom_edge_group(c, n)
-    f_out = edge_map(c, n, source=here, target=bottom_edge_group(c, n - 1))
+    f_out = edge_map(c, n, here, bottom_edge_group(c, n - 1))
     return homology_at(_injective_cover(c, n, here), f_out)
 
 

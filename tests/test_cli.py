@@ -367,6 +367,23 @@ def test_dump_complex_flag(cli, tmp_path):
     assert "bnd 1 " in text
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["homology", "--max-dim", "1"], "--dump-complex"),
+    (["cw-homology", "--max-dim", "1"], "--dump-cells"),
+    (["check-mono", "--dim", "1"], "--certificate"),
+])
+def test_unwritable_output_path_is_bad_input(tmp_path, argv, flag):
+    target = tmp_path / "no-such-dir" / "out.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubehom.cli", *argv, flag, str(target)],
+        input=format_edge_list(cycle_graph(5)), capture_output=True,
+        text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {target}: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_subprocess_pipe_end_to_end():
     gen = subprocess.run(
         [sys.executable, "-m", "cubehom.cli", "gen", "greene-sphere", "4"],

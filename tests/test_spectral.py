@@ -4,9 +4,14 @@ from collections import Counter
 
 import pytest
 
-from cubehom import cubes, spectral, zlinalg
+from cubehom import chains, cubes, spectral, zlinalg
 from cubehom.budget import BudgetExhausted, DimensionBudgetError
-from cubehom.chains import homology, homology_presentation, normalized_complex
+from cubehom.chains import (
+    degree_quotient_complex,
+    homology,
+    homology_presentation,
+    normalized_complex,
+)
 from cubehom.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -15,6 +20,7 @@ from cubehom.graphs import (
     hypercube_graph,
 )
 from cubehom.spectral import (
+    SpectralPage,
     _Progress,
     _boundary_image,
     _filtered_cycles,
@@ -34,6 +40,8 @@ from cubehom.zlinalg import (
     Echelon,
     GF2Echelon,
     GroupMap,
+    axpy,
+    echelon_from_rows,
     split_echelon,
 )
 
@@ -106,6 +114,82 @@ def test_page_json_shape(c6):
 def test_e1_budget_error(c6):
     with pytest.raises(DimensionBudgetError):
         e1_page(c6, 3)
+
+
+def _random_small_graph(rng):
+    n = rng.randint(4, 6)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, rng.sample(pairs, rng.randint(n - 1, n + 1)))
+
+
+@pytest.fixture(scope="module")
+def slice_complexes(sphere4, k23):
+    """Complexes through dimension 3 for the slice-route comparisons."""
+    rng = random.Random(20261018)
+    graphs = [cycle_graph(5), hypercube_graph(3)]
+    graphs += [_random_small_graph(rng) for _ in range(6)]
+    return [sphere4, k23] + [normalized_complex(g, 3) for g in graphs]
+
+
+def _copied_slices_page(c, max_total):
+    """page_to_json of the first page through copied slice complexes:
+    `degree_quotient_complex` and `homology_presentation` per entry, then
+    the d^1 push with the slices' cube-keyed indices."""
+    slices = [degree_quotient_complex(c, p) for p in range(max_total + 1)]
+    pres = {(p, n): homology_presentation(slices[p], n)[:2]
+            for n in range(max_total + 1) for p in range(n + 1)}
+    differentials = {}
+    for (p, n), (group, kernel) in pres.items():
+        if p == 0:
+            continue
+        src, tgt = slices[p], slices[p - 1]
+        tgt_group, tgt_kernel = pres[(p - 1, n - 1)]
+        cols = []
+        for kvec in kernel.rows:
+            bnd = {}
+            for jq, a in kvec.items():
+                axpy(bnd, a, c.columns[n][c.index[n][src.basis[n][jq]]])
+            at = tgt.index[n - 1]
+            cols.append(tgt_kernel.express(
+                {at[c.basis[n - 1][i]]: v for i, v in bnd.items()
+                 if c.basis[n - 1][i] in at}))
+        differentials[(p, n - p)] = GroupMap(group, tgt_group, cols)
+    entries = {(p, n - p): group for (p, n), (group, _) in pres.items()}
+    return page_to_json(SpectralPage(1, entries, differentials))
+
+
+def test_e1_matches_the_copied_slices_route(slice_complexes):
+    for c in slice_complexes:
+        assert page_to_json(e1_page(c, 2)) == _copied_slices_page(c, 2)
+
+
+def test_e1_copies_no_slice_complex(monkeypatch, sphere4, k23):
+    expected = [_copied_slices_page(c, 2) for c in (sphere4, k23)]
+
+    def no_copy(c, keep):
+        raise AssertionError("e1_page copied a slice complex")
+
+    monkeypatch.setattr(chains, "_restrict", no_copy)
+    assert [page_to_json(e1_page(c, 2)) for c in (sphere4, k23)] == expected
+
+
+def test_bottom_edge_relations_match_a_direct_echelon(slice_complexes):
+    # the relations of the bottom edge at p: boundaries of the degree-p
+    # (p+1)-cubes on the injective p-cubes, found by cube lookups
+    for c in slice_complexes:
+        for p in range(3):
+            group, basis = bottom_edge_group(c, p)
+            assert basis == tuple(q for q, d in zip(c.basis[p], c.degrees[p])
+                                  if d == p)
+            at = {q: i for i, q in enumerate(basis)}
+            rows = [{at[c.basis[p][i]]: v for i, v in col.items()
+                     if c.basis[p][i] in at}
+                    for col, d in zip(c.columns[p + 1], c.degrees[p + 1])
+                    if d == p]
+            direct = echelon_from_rows(rows, len(basis))
+            assert group.ngens == len(basis)
+            assert all(group.relations.contains(r) for r in direct.rows)
+            assert all(direct.contains(r) for r in group.relations.rows)
 
 
 # ---------------------------------------------------------------------------
