@@ -265,35 +265,39 @@ def apply_automorphism(corners, aut):
     return tuple(corners[cmap[t]] for t in range(len(corners)))
 
 
+def canonical_parametrization(corners):
+    """(g, sigma o g) for an injective cube sigma: sigma o g is the
+    canonical parametrization of sigma's image, with corner 0 the least
+    vertex and corners 1, 2, 4, ... increasing.  It is the least one, as
+    the signed permutations act simply transitively on parametrizations.
+    `src` inverts the sort order of the least corner's neighbours."""
+    n = cube_dim(corners)
+    base = corners.index(min(corners))
+    src = [0] * n
+    idx = [base]  # sigma's corner index of each canonical corner
+    for i, j in enumerate(sorted(range(n),
+                                 key=lambda j: corners[base ^ (1 << j)])):
+        src[j] = i
+        idx += [b ^ (1 << j) for b in idx]
+    aut = CubeAutomorphism(src, ((base >> j) & 1 for j in range(n)))
+    return aut, tuple(corners[b] for b in idx)
+
+
 def relating_automorphism(sigma, gamma):
     """The unique signed permutation g with gamma = sigma o g, plus its sign.
 
     Both cubes must be injective, of equal dimension, and parametrize the
-    same cube subgraph.
+    same cube subgraph, which is when their canonical forms agree.
     """
-    n = cube_dim(sigma)
-    if cube_dim(gamma) != n:
+    if cube_dim(gamma) != cube_dim(sigma):
         raise ValueError("dimension mismatch")
     if not is_injective(sigma) or not is_injective(gamma):
         raise ValueError("relating automorphism requires injective cubes")
-    pos = {v: b for b, v in enumerate(sigma)}
-    try:
-        cmap = [pos[v] for v in gamma]
-    except KeyError:
+    a, canon = canonical_parametrization(sigma)
+    b, other = canonical_parametrization(gamma)
+    if canon != other:
         raise ValueError("cubes have different images")
-    base = cmap[0]
-    flip = tuple((base >> j) & 1 for j in range(n))
-    src = [None] * n
-    for i in range(n):
-        d = cmap[1 << i] ^ base
-        if d.bit_count() != 1:
-            raise ValueError("cubes have different images")
-        src[d.bit_length() - 1] = i
-    if sorted(src) != list(range(n)):
-        raise ValueError("cubes have different images")
-    aut = CubeAutomorphism(src, flip)
-    if apply_automorphism(sigma, aut) != tuple(gamma):
-        raise ValueError("cubes have different images")
+    aut = a.compose(b.inverse())
     return aut, aut.sign
 
 
@@ -397,10 +401,10 @@ def singular_cubes(g, n, filt="all", prefix=None):
 # ---------------------------------------------------------------------------
 
 class CubeSubgraph:
-    """A subgraph of g isomorphic to I^n, with a canonical parametrization.
-
-    `rep` is the lexicographically smallest corner sequence among the
-    2^n * n! injective cubes whose image is this subgraph.
+    """A subgraph of g isomorphic to I^n, identified by its canonical
+    parametrization `rep` (see `canonical_parametrization`), the
+    lexicographically smallest of the 2^n * n! injective cubes whose image
+    is this subgraph; `vertices` and `edges` are that image.
     """
 
     __slots__ = ("dim", "vertices", "edges", "rep")
@@ -412,11 +416,10 @@ class CubeSubgraph:
         self.rep = tuple(rep)
 
     def __eq__(self, other):
-        return isinstance(other, CubeSubgraph) and self.edges == other.edges \
-            and self.vertices == other.vertices
+        return isinstance(other, CubeSubgraph) and self.rep == other.rep
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash(self.rep)
 
     def __repr__(self):
         return f"CubeSubgraph(dim={self.dim}, vertices={self.vertices})"
@@ -438,23 +441,19 @@ def image_subgraph(corners):
 
 
 def cube_subgraphs(g, n):
-    """All n-cube subgraphs, ordered by canonical representative.
+    """All n-cube subgraphs, ordered by canonical parametrization.
 
-    Distinct subgraphs means distinct edge sets (distinct vertices for
-    n = 0).  The lexicographic enumeration meets each subgraph first at
-    its lexicographically minimal parametrization, which becomes the
-    canonical representative.
+    The injective stream holds each subgraph's 2^n * n! parametrizations;
+    exactly one has the canonical shape (corner 0 the least vertex,
+    corners 1, 2, 4, ... increasing), and only that one is kept.
     """
-    seen = {}
-    order = []
+    heads = [1 << i for i in range(n)]
+    out = []
     for corners in singular_cubes(g, n, "injective"):
-        vertices, edges = image_subgraph(corners)
-        key = (vertices, edges)
-        if key not in seen:
-            q = CubeSubgraph(n, vertices, edges, corners)
-            seen[key] = q
-            order.append(q)
-    return order
+        tops = [corners[b] for b in heads]
+        if corners[0] == min(corners) and tops == sorted(tops):
+            out.append(CubeSubgraph(n, *image_subgraph(corners), corners))
+    return out
 
 
 def cubical_dimension(g):

@@ -1,9 +1,11 @@
 """The filled-cube CW complex of a graph.
 
-One n-cell per cube subgraph (all cube subgraphs, induced or not); the
-canonical parametrization of each cell fixes its orientation, and face
-incidence signs come from the determinant of the signed permutation
-relating the face to the face-cell's own canonical parametrization.
+One n-cell per cube subgraph (all cube subgraphs, induced or not), keyed
+by its canonical parametrization, which also fixes its orientation.  Each
+face of a cell's parametrization is injective, so
+`canonical_parametrization` names the face's cell and the signed
+permutation carrying the face onto it; the determinant of that
+permutation is the incidence sign.
 
 The chain map sending a cell to the class of its canonical
 parametrization in the top slice homology compares cellular homology
@@ -12,12 +14,7 @@ with the degree-filtration world.
 
 from .budget import DimensionBudgetError
 from .chains import _in_out, normalized_complex
-from .cubes import (
-    cube_subgraphs,
-    face_getters,
-    image_subgraph,
-    relating_automorphism,
-)
+from .cubes import canonical_parametrization, cube_subgraphs, face_getters
 from .monophobic import is_quasimonophobic
 from .zlinalg import (
     AbelianGroup,
@@ -64,8 +61,9 @@ def build_cw_complex(g, max_dim):
     """Cells in every dimension up to max_dim with oriented boundaries.
 
     The boundary of a cell is the alternating sum of its face cells, each
-    weighted by the sign relating the face of the canonical representative
-    to the face-cell's canonical representative.
+    weighted by the sign of the automorphism relating the face of the
+    cell's canonical parametrization to the face cell's.  The faces of an
+    injective cube are distinct subgraphs, so no face cell repeats.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
@@ -75,27 +73,15 @@ def build_cw_complex(g, max_dim):
         cells.append(cube_subgraphs(g, n))
         if n == 0:
             continue
-        below = {q.edges if n > 1 else q.vertices: i
-                 for i, q in enumerate(cells[n - 1])}
+        below = {q.rep: i for i, q in enumerate(cells[n - 1])}
         cols = []
         for q in cells[n]:
             col = {}
             for t, get in enumerate(face_getters(n)):
-                f = get(q.rep)
-                verts, edges = image_subgraph(f)
-                pos = below[edges if n > 1 else verts]
-                rep = cells[n - 1][pos].rep
-                if n == 1:
-                    eps = 1  # 0-cells have a unique parametrization
-                else:
-                    _, eps = relating_automorphism(rep, f)
+                aut, rep = canonical_parametrization(get(q.rep))
                 # face (i, side) sits in slot t = 2(i-1) + side
                 sgn = -1 if t & 1 == (t >> 1) & 1 else 1
-                w = col.get(pos, 0) + sgn * eps
-                if w:
-                    col[pos] = w
-                else:
-                    del col[pos]
+                col[below[rep]] = sgn * aut.sign
             cols.append(col)
         columns.append(cols)
     return CwCubeComplex(max_dim, cells, columns)

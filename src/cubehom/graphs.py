@@ -64,21 +64,26 @@ class Graph:
 # ---------------------------------------------------------------------------
 # edge-list format
 # ---------------------------------------------------------------------------
-# Optional first line "# vertices N" pins the vertex count; other lines are
-# "u v" pairs (whitespace separated), '#' starts a comment line.  Vertex ids
-# must be non-negative integers; named vertices are rejected.
+# An optional "# vertices N" on the first non-blank line (nowhere else) pins
+# the vertex count; other lines are "u v" pairs (whitespace separated), '#'
+# starts a comment line.  Vertex ids must be non-negative; names are rejected.
 
 def parse_edge_list(text):
     vertex_count = None
+    first = None  # the first non-blank line, the only place for a header
     edges = []
     max_seen = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        first = first or line_no
         if line.startswith("#"):
             body = line[1:].strip()
-            if line_no == 1 and body.lower().startswith("vertices"):
+            if body.lower().startswith("vertices"):
+                if line_no != first:
+                    raise EdgeListError(
+                        line_no, "header not on the first non-blank line")
                 parts = body.split()
                 if len(parts) != 2:
                     raise EdgeListError(line_no, "expected '# vertices N'")
@@ -104,8 +109,8 @@ def parse_edge_list(text):
         max_seen = max(max_seen, u, v)
     n = max_seen + 1 if vertex_count is None else vertex_count
     if max_seen >= n:
-        raise EdgeListError(1, f"edge mentions vertex {max_seen} but header "
-                               f"pins vertex count to {n}")
+        raise EdgeListError(first, f"edge mentions vertex {max_seen} but "
+                                   f"header pins vertex count to {n}")
     return Graph(n, edges)
 
 

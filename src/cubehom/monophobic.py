@@ -14,6 +14,12 @@ search runs through the shared extender `singular_cubes`, with Q's
 parametrization pinned as the front (n+1)-face (corners 0..2^n - 1);
 only the witness it returns is reindexed, by the coordinate shift that
 makes that face the front 1-face, so emitted witnesses keep that shape.
+
+The front face is Q, so a candidate is a witness iff no other face is
+supported; the search stops at the first that is.  On rigid Q a face is
+supported iff it hits exactly Q's vertices: such a face is injective, and
+its n * 2^(n-1) distinct edges lie in the subgraph Q's vertices induce,
+which is Q.
 """
 
 from .cubes import (
@@ -96,10 +102,14 @@ def check_cube(g, q, mode="quasimonophobic"):
         return False, None
     quasi = mode == "quasimonophobic"
     size = len(q.rep)
+    verts = set(q.vertices)
+    # every face but the front (n+1)-face, which is q.rep
+    getters = face_getters(q.dim + 1)
+    others = getters[:-2] + getters[-1:]
     for tau in singular_cubes(g, q.dim + 1, prefix=q.rep):
         if quasi and is_injective(tau):
             continue
-        if supported_face_count(tau, q) == 1:
+        if not any(set(get(tau)) == verts for get in others):
             return False, tuple(tau[(t & 1) * size + (t >> 1)]
                                 for t in range(2 * size))
     return True, None
@@ -112,11 +122,8 @@ def check_graph(g, n, mode="quasimonophobic"):
     checks = []
     for q in cube_subgraphs(g, n):
         rigid = is_rigid(g, q)
-        if not rigid:
-            checks.append(CubeCheck(q, False, False, None))
-            continue
-        passes, witness = check_cube(g, q, mode)
-        checks.append(CubeCheck(q, True, passes, witness))
+        passes, witness = check_cube(g, q, mode) if rigid else (False, None)
+        checks.append(CubeCheck(q, rigid, passes, witness))
     return MonoReport(g, n, mode, checks)
 
 

@@ -368,10 +368,12 @@ def split_echelon(columns, top, bottom):
         for k, v in b.items():
             vec[k + top] = v
         full.add(vec)
+    # the rows pivoting at or past `top` already echelonize the zero-top part
     zero_top = Echelon(bottom)
-    for row, piv in zip(full.rows, full.pivots):
-        if piv >= top:
-            zero_top.add({k - top: v for k, v in row.items()})
+    at = bisect_left(full.pivots, top)
+    zero_top.rows = [{k - top: v for k, v in row.items()}
+                     for row in full.rows[at:]]
+    zero_top.pivots = [piv - top for piv in full.pivots[at:]]
     return full, zero_top
 
 

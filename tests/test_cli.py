@@ -54,6 +54,11 @@ def test_homology_pipe_sphere(cli):
     assert out.splitlines() == ["H_0 = Z", "H_1 = 0", "H_2 = Z"]
 
 
+def test_header_after_a_blank_line_counts_every_vertex(cli):
+    code, out, _ = cli(["homology", "--max-dim", "1"], "\n# vertices 5\n0 1\n")
+    assert code == 0 and out.splitlines() == ["H_0 = Z^4"]
+
+
 def test_homology_json_schema_and_determinism(cli):
     graph_text = format_edge_list(greene_sphere(4))
     code, out1, _ = cli(["homology", "--max-dim", "2", "--format", "json"],

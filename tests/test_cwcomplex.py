@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from cubehom.cwcomplex import (
     build_cw_complex,
     cell_to_degree_class,
     cw_homology,
+    cw_to_json,
     cycle_space,
     geometric_class_check,
 )
@@ -55,6 +58,26 @@ def test_cw_k23_cells_and_euler():
     assert [c.dim(n) for n in range(4)] == [5, 6, 3, 0]
     assert c.euler_characteristic == 2
     assert boundary_squared_is_zero(c)
+
+
+# sha256 of json.dumps(cw_to_json(build_cw_complex(g, 3)), sort_keys=True),
+# frozen from the route that found each face cell by its edge set and its
+# sign by a relating automorphism: cells, representatives, boundary order
+# and every incidence sign must stay byte-identical
+CW_DUMP_SHA256 = {
+    "Q4": "300a7f0c64c810ed13f594d6b6b95dab263ed837fab516e8a5f8cfccdb49430e",
+    "greene-sphere(5)":
+        "1730174610b965cd8d4e71d783188b592c8e83683275939a5b10380c29dd8926",
+}
+
+
+@pytest.mark.parametrize("name,graph", [
+    ("Q4", lambda: hypercube_graph(4)),
+    ("greene-sphere(5)", lambda: greene_sphere(5)),
+])
+def test_cw_dump_frozen(name, graph):
+    text = json.dumps(cw_to_json(build_cw_complex(graph(), 3)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CW_DUMP_SHA256[name]
 
 
 def test_cw_homology_spheres():

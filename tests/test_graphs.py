@@ -55,6 +55,19 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("# vertices 2\n0 5\n")
 
 
+def test_header_after_a_blank_line_pins_the_vertex_count():
+    g = parse_edge_list("\n# vertices 5\n0 1\n")
+    assert g.n == 5 and g.edges() == [(0, 1)]
+
+
+@pytest.mark.parametrize("text", ["# a comment\n# vertices 5\n0 1\n",
+                                  "0 1\n# vertices 5\n"])
+def test_header_after_another_line_is_an_error(text):
+    with pytest.raises(EdgeListError, match="first non-blank line") as e:
+        parse_edge_list(text)
+    assert e.value.line_no == 2
+
+
 def test_roundtrip_is_identity():
     g = greene_sphere(4)
     assert parse_edge_list(format_edge_list(g)) == g

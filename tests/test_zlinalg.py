@@ -166,6 +166,29 @@ def lattice_meet(a, b):
     return split_echelon(cols, n, n)[1]
 
 
+def test_split_echelon_reads_the_zero_top_rows_off():
+    """The zero-top echelon is the full echelon's rows pivoting at or past
+    `top`, shifted down: the same basis, with the same signs, as adding
+    those rows to a fresh echelon over Z^bottom."""
+    rng = random.Random(1313)
+    for _ in range(60):
+        top, bottom = rng.randint(0, 5), rng.randint(1, 6)
+        def sparse(size):
+            vec = {i: rng.randint(-4, 4) for i in range(size)}
+            return {i: v for i, v in vec.items() if v and rng.random() < 0.5}
+
+        cols = [(sparse(top), sparse(bottom))
+                for _ in range(rng.randint(0, 8))]
+        full, zero_top = split_echelon(cols, top, bottom)
+        readd = Echelon(bottom)
+        for row, piv in zip(full.rows, full.pivots):
+            if piv >= top:
+                readd.add({k - top: v for k, v in row.items()})
+        assert zero_top.ncols == bottom
+        assert zero_top.rows == readd.rows
+        assert zero_top.pivots == readd.pivots
+
+
 def test_lattice_sum_intersection_membership():
     two = echelon_from_rows([[2, 0], [0, 2]], 2)
     three = echelon_from_rows([[3, 0], [0, 3]], 2)
