@@ -321,9 +321,6 @@ def _cube_filter(n, filt):
                     return False
             return True
         return nondegenerate
-    if isinstance(filt, tuple) and filt[0] == "degree":
-        k = filt[1]
-        return lambda corners: cube_degree(corners) == k
     raise ValueError(f"unknown filter {filt!r}")
 
 

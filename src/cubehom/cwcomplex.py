@@ -136,7 +136,8 @@ class ComparisonMap:
     homology at dimension n, with its verification results.
 
     matrix          GroupMap from free cellular chains to the slice group
-    chain_map_ok    the square against the slice differential commutes
+    chain_map_ok    True: the square against the slice differential
+                    commutes, or the construction raises
     surjective      every injective n-cube class is hit
     kernel_rank     rank of the kernel lattice (0 means injective)
     kernel_basis    echelon rows of the kernel lattice over the cells
@@ -145,10 +146,10 @@ class ComparisonMap:
     __slots__ = ("n", "matrix", "chain_map_ok", "surjective",
                  "kernel_rank", "kernel_basis")
 
-    def __init__(self, n, matrix, chain_map_ok, surjective, kernel):
+    def __init__(self, n, matrix, surjective, kernel):
         self.n = n
         self.matrix = matrix
-        self.chain_map_ok = chain_map_ok
+        self.chain_map_ok = True
         self.surjective = surjective
         self.kernel_rank = kernel.rank
         self.kernel_basis = kernel
@@ -177,7 +178,6 @@ def cell_to_degree_class(g, n):
 
     # (b) chain-map property against the slice differential and the
     # cellular boundary, as an exact identity on presentations
-    chain_map_ok = True
     if n >= 1:
         below = bottom_edge_group(chain_complex, n - 1)
         d1 = edge_map(chain_complex, n, here, below)
@@ -188,15 +188,12 @@ def cell_to_degree_class(g, n):
             for i, v in cw.columns[n][j].items():
                 axpy(diff, -v, cell_cols_below[i])
             if not below_group.relations.contains(diff):
-                chain_map_ok = False
-                break
-    if not chain_map_ok:
-        raise ContractViolation(
-            "cell map does not commute with the slice differential")
+                raise ContractViolation(
+                    "cell map does not commute with the slice differential")
 
     # (c) kernel lattice of the induced map on the free cell group
     kernel = lattice_preimage(cols, cw.dim(n), group.relations)
-    return ComparisonMap(n, matrix, chain_map_ok, surjective, kernel)
+    return ComparisonMap(n, matrix, surjective, kernel)
 
 
 class GeometricClassResult:
@@ -208,7 +205,7 @@ class GeometricClassResult:
         self.quasimonophobic = quasimonophobic
 
 
-def geometric_class_check(g, cycle, n, chain_complex=None, cw=None):
+def geometric_class_check(g, cycle, n):
     """Evaluate a cellular n-cycle in cellular homology and push it to the
     injective-homology class.
 
@@ -218,11 +215,8 @@ def geometric_class_check(g, cycle, n, chain_complex=None, cw=None):
     """
     from .spectral import _injective_cover, bottom_edge_group
 
-    if cw is None:
-        cw = build_cw_complex(g, n + 1)
-    cw.require(n + 1, "cellular homology at the cycle dimension")
-    if chain_complex is None:
-        chain_complex = normalized_complex(g, n + 1)
+    cw = build_cw_complex(g, n + 1)
+    chain_complex = normalized_complex(g, n + 1)
     vec = dense_to_sparse(cycle) if not isinstance(cycle, dict) else dict(cycle)
     if n >= 1:
         bnd = {}

@@ -39,10 +39,10 @@ from .zlinalg import (
     echelon_from_rows,
     gf2_pick,
     homology_at,
+    kernel_echelon,
     lattice_torsion,
     quotient_in,
     replay,
-    split_echelon,
     subquotient_presentation,
 )
 
@@ -161,9 +161,9 @@ def page_to_json(page):
 
 def bottom_edge_group(c, p):
     """E1[p, 0], the homology of the degree-p slice at its lowest live
-    dimension p (`_slice_entry`).  The slice has no chains below dimension
-    p, so every chain is a cycle and the group is presented on the
-    injective p-cubes.
+    dimension p.  The slice has no chains below dimension p, so every chain
+    is a cycle: the group is Z^(injective p-cubes) modulo the boundaries of
+    the degree-p (p+1)-cubes read on them.
 
     Returns (group, basis) where basis lists the injective p-cubes in
     enumeration order.  When no injective p-cube exists the group is
@@ -176,9 +176,9 @@ def bottom_edge_group(c, p):
     if not here:
         return AbelianGroup.trivial(), ()
     c.require(p + 1, f"relations of the degree-{p} slice at dimension {p}")
-    sel = {p: here, p + 1: _slice_positions(c, p + 1, p)}
-    group = _slice_entry(c, p, p, sel, [{}] * len(here))[0]
-    return group, tuple(c.basis[p][i] for i in here)
+    rels = _restricted_columns(c, p + 1, _slice_positions(c, p + 1, p), here)
+    return (AbelianGroup(len(here), echelon_from_rows(rels, len(here))),
+            tuple(c.basis[p][i] for i in here))
 
 
 def _edge_cover(c, n):
@@ -231,19 +231,22 @@ def injective_homology(c, n):
 # higher pages via relative-cycle lattices
 # ---------------------------------------------------------------------------
 
-def _degree_reader(degs, build):
-    """Reader `read(p)` of the part inside F_p of one lattice over the
-    coordinates of C_n, whose degrees are `degs`.
+def _degree_reader(degs, lattice):
+    """Reader `read(p)` of the part inside F_p of `lattice`, an Echelon
+    over C_n, whose degrees are `degs`; the one place the degree order lives.
 
-    `build(at)` echelonizes the lattice over C_n ordered by decreasing
-    degree (stable within a degree), coordinate i going to at[i], so F_p C_n
-    is spanned by the coordinates from s = #{degree > p} on.  Pivots are
+    The rows are echelonized again over C_n ordered by decreasing degree
+    (stable within a degree), coordinate i going to at[i], so F_p C_n is
+    spanned by the coordinates from s = #{degree > p} on.  Pivots are
     smallest indices and increase down the rows, so a combination of rows
     vanishes below s only if each row pivoting below s has coefficient 0:
     the rows pivoting at s or later span the part inside F_p.  A read maps
     them back to C_n coordinates and echelonizes them again."""
     order = sorted(range(len(degs)), key=degs.__getitem__, reverse=True)
-    ech = build({i: k for k, i in enumerate(order)})
+    at = {i: k for k, i in enumerate(order)}
+    ech = echelon_from_rows(
+        ({at[i]: v for i, v in row.items()} for row in lattice.rows),
+        len(degs))
 
     def read(p):
         start = bisect_left(ech.pivots, sum(d > p for d in degs))
@@ -255,21 +258,21 @@ def _degree_reader(degs, build):
 
 def _filtered_cycles(c, n, cut):
     """Reader `cycles(p)` of the lattices {x in F_p C_n : boundary(x) in
-    F_cut C_{n-1}} off one kernel echelon over C_n (`_degree_reader`)."""
+    F_cut C_{n-1}} off the kernel of the boundary's part above the cut
+    (`_degree_reader`)."""
     degs = c.degrees[n - 1] if n else ()
     cols = c.columns[n] if n else [{}] * c.dim(0)
-    return _degree_reader(c.degrees[n], lambda at: split_echelon(
-        (({i: v for i, v in col.items() if degs[i] > cut}, {at[j]: 1})
-         for j, col in enumerate(cols)), c.dim(n - 1), c.dim(n))[1])
+    return _degree_reader(c.degrees[n], kernel_echelon(
+        ({i: v for i, v in col.items() if degs[i] > cut} for col in cols),
+        c.dim(n - 1), c.dim(n)))
 
 
 def _boundary_image(c, n, p):
     """Reader `image(cut)` of the lattices {boundary(x) : x in F_p C_{n+1},
-    boundary(x) in F_cut C_n} off one echelon of the boundaries
-    (`_degree_reader`)."""
-    return _degree_reader(c.degrees[n], lambda at: echelon_from_rows(
-        ({at[i]: v for i, v in col.items()}
-         for col, d in zip(c.columns[n + 1], c.degrees[n + 1]) if d <= p),
+    boundary(x) in F_cut C_n} off the echelon of the stored boundary
+    columns of degree at most p (`_degree_reader`)."""
+    return _degree_reader(c.degrees[n], echelon_from_rows(
+        (col for col, d in zip(c.columns[n + 1], c.degrees[n + 1]) if d <= p),
         c.dim(n)))
 
 
@@ -304,13 +307,13 @@ def einfinity_report(c, n):
     if n < 0:
         raise ValueError("degree must be non-negative")
     c.require(n + 1, f"limit page at total degree {n}")
-    # a cube's degree is at most its dimension, so image(n) cuts nothing and
-    # F_{p+n+1} C_{n+1} = C_{n+1} for every E^{n+2} term below
-    image = _boundary_image(c, n, n + 1)
+    # a cube's degree is at most its dimension, so F_{p+n+1} C_{n+1} =
+    # C_{n+1} for every E^{n+2} term below: its image is all the boundaries
+    boundaries = echelon_from_rows(c.columns[n + 1], c.dim(n))
+    image = _degree_reader(c.degrees[n], boundaries)
     # every cut below degree 0 reads the cycles on the nose: the filtration
     # levels and all E^{n+2} terms, whose cuts p - n - 2 are negative
     cycles = _filtered_cycles(c, n, -1)
-    boundaries = image(n)
     levels = [boundaries] + [
         echelon_from_rows(cycles(p).rows + boundaries.rows, c.dim(n))
         for p in range(n + 1)]

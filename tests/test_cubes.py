@@ -461,8 +461,6 @@ def test_filter_predicates_match_the_all_stream(name, graph, n):
     tests = {"nondegenerate": lambda c: all(
                  face(c, i, MINUS) != face(c, i, PLUS) for i in range(1, n + 1)),
              "injective": is_injective}
-    tests.update({("degree", k): lambda c, k=k: _oracle_degree(c) == k
-                  for k in range(n + 1)})
     for filt, test in tests.items():
         keep = _cube_filter(n, filt) or test
         want = [c for c in every if test(c)]
@@ -474,14 +472,6 @@ def test_filter_predicates_match_the_all_stream(name, graph, n):
 def test_unknown_filter_rejected():
     with pytest.raises(ValueError, match="unknown filter"):
         list(singular_cubes(hypercube_graph(2), 2, "noninjective"))
-
-
-def test_degree_filter():
-    g = greene_sphere(4)
-    inj = list(singular_cubes(g, 2, "injective"))
-    deg2 = list(singular_cubes(g, 2, ("degree", 2)))
-    assert set(inj) == set(deg2)  # at top dimension, degree n means injective
-    assert len(inj) == 64  # 8 squares, 8 parametrizations each
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_geometric_class_sphere():
     fundamental = cycle_space(cw, 2)
     assert fundamental.rank == 1
     cycle = dict(fundamental.rows[0])
-    res = geometric_class_check(g, cycle, 2, cw=cw)
+    res = geometric_class_check(g, cycle, 2)
     assert res.quasimonophobic
     assert res.cw_class_nonzero
     assert res.inj_class_nonzero
@@ -177,7 +177,7 @@ def test_geometric_class_k23():
     fundamental = cycle_space(cw, 2)
     assert fundamental.rank == 1
     cycle = dict(fundamental.rows[0])
-    res = geometric_class_check(g, cycle, 2, cw=cw)
+    res = geometric_class_check(g, cycle, 2)
     assert not res.quasimonophobic
     assert res.cw_class_nonzero
     assert not res.inj_class_nonzero

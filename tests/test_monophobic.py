@@ -1,5 +1,6 @@
 import pytest
 
+from cubehom import monophobic
 from cubehom.cubes import (
     MINUS,
     cube_subgraphs,
@@ -238,6 +239,26 @@ def test_check_graph_k23_not_quasi_2():
     for c in failing:
         assert validate_witness(report.graph, c.cube, c.witness,
                                 "quasimonophobic")
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: complete_bipartite_graph(2, 3), k4, lambda: hypercube_graph(3)],
+    ids=["K_{2,3}", "K4", "Q3"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_rigidity_scan_per_cube(monkeypatch, graph, n):
+    g = graph()
+    real, scanned = monophobic.is_rigid, []
+
+    def counting(g, q):
+        scanned.append(q)
+        return real(g, q)
+
+    monkeypatch.setattr(monophobic, "is_rigid", counting)
+    report = check_graph(g, n)
+    assert report.checks
+    assert [id(q) for q in scanned] == [id(c.cube) for c in report.checks]
+    assert [c.rigid for c in report.checks] == \
+        [real(g, c.cube) for c in report.checks]
 
 
 def test_vacuous_above_cubical_dimension():

@@ -12,6 +12,7 @@ from cubehom.chains import (
     homology_presentation,
     normalized_complex,
 )
+from cubehom.cwcomplex import cell_to_degree_class
 from cubehom.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -230,6 +231,27 @@ def test_injective_homology_disjoint_union_splits():
     assert injective_homology(c, 1).invariants() == (2, ())
 
 
+def test_bottom_edge_presents_no_kernel(monkeypatch, sphere4, k23):
+    # every chain of the bottom edge is a cycle, so its group is read off
+    # the relation echelon alone, with no kernel presentation
+    want = [[bottom_edge_group(c, p) for p in range(3)] for c in (sphere4, k23)]
+
+    def refuse(d_in, d_out):
+        raise AssertionError("the bottom edge built a kernel presentation")
+
+    monkeypatch.setattr(spectral, "subquotient_presentation", refuse)
+    for c, groups in zip((sphere4, k23), want):
+        for p, (group, basis) in enumerate(groups):
+            got, got_basis = bottom_edge_group(c, p)
+            assert got.invariants() == group.invariants()
+            assert got_basis == basis
+    for g, n, kernel_rank in ((greene_sphere(4), 2, 0),
+                              (complete_bipartite_graph(2, 3), 2, 1),
+                              (cycle_graph(5), 1, 0)):
+        cm = cell_to_degree_class(g, n)
+        assert cm.surjective and cm.kernel_rank == kernel_rank
+
+
 def test_bottom_edge_trivial_without_injective_cubes():
     # no injective 3-cubes in the sphere graph, so no dimension-4 data needed
     c = normalized_complex(greene_sphere(4), 3)
@@ -289,6 +311,23 @@ def test_einf_rank_sums_match_homology(sphere4, c6, k23):
         for g in rep.filtration_graded:
             orders *= g.torsion_order
         assert orders == hn.torsion_order
+
+
+def test_einf_echelonizes_the_stored_boundary_columns(monkeypatch, sphere4):
+    # the boundary echelon reads the stored d_3 columns themselves; only
+    # its rank-many rows are put in degree order
+    real, seen = echelon_from_rows, []
+
+    def spy(rows, ncols):
+        rows = list(rows)
+        seen.append(rows)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(spectral, "echelon_from_rows", spy)
+    assert einfinity_report(sphere4, 2).match
+    stored = sphere4.columns[3]
+    assert any(len(rows) == len(stored)
+               and all(a is b for a, b in zip(rows, stored)) for rows in seen)
 
 
 def _stacked_boundary_image(c, n, p, depth):
