@@ -21,17 +21,15 @@ class BasedComplex:
     """Chain complex with an explicit labeled basis in each degree.
 
     basis[n]     ordered tuple of corner sequences
-    index[n]     corner sequence -> position
     degrees[n]   cube degree of each basis element
     columns[n]   sparse boundary columns into degree n-1 (n >= 1)
     """
 
-    __slots__ = ("max_dim", "basis", "index", "degrees", "columns")
+    __slots__ = ("max_dim", "basis", "degrees", "columns")
 
     def __init__(self, max_dim, basis, degrees, columns):
         self.max_dim = max_dim
         self.basis = basis
-        self.index = [{c: i for i, c in enumerate(bs)} for bs in basis]
         self.degrees = degrees
         self.columns = columns
 

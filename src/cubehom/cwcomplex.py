@@ -16,6 +16,7 @@ from .budget import DimensionBudgetError
 from .chains import _in_out, normalized_complex
 from .cubes import canonical_parametrization, cube_subgraphs, face_getters
 from .monophobic import is_quasimonophobic
+from .spectral import _injective_cover, bottom_edge_group, edge_map
 from .zlinalg import (
     AbelianGroup,
     ContractViolation,
@@ -164,8 +165,6 @@ def cell_to_degree_class(g, n):
     (b) the chain-map square against the slice differential commutes;
     (c) the kernel lattice (trivial exactly when the map is one-to-one).
     """
-    from .spectral import bottom_edge_group, edge_map
-
     chain_complex = normalized_complex(g, n + 1)
     cw = build_cw_complex(g, n)
     here = bottom_edge_group(chain_complex, n)
@@ -213,8 +212,6 @@ def geometric_class_check(g, cycle, n):
     n-quasimonophobicity the push-forward is still computed but the
     result flags that injectivity of the comparison is not guaranteed.
     """
-    from .spectral import _injective_cover, bottom_edge_group
-
     cw = build_cw_complex(g, n + 1)
     chain_complex = normalized_complex(g, n + 1)
     vec = dense_to_sparse(cycle) if not isinstance(cycle, dict) else dict(cycle)

@@ -29,6 +29,7 @@ from .cubes import (
     image_subgraph,
     is_injective,
     singular_cubes,
+    validate_cube,
 )
 
 
@@ -89,6 +90,12 @@ def supported_face_count(tau, q):
     return count
 
 
+def _is_quasi(mode):
+    if mode not in ("monophobic", "quasimonophobic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode == "quasimonophobic"
+
+
 def check_cube(g, q, mode="quasimonophobic"):
     """(passes, witness) for one cube subgraph.
 
@@ -96,11 +103,9 @@ def check_cube(g, q, mode="quasimonophobic"):
     q (noninjective in quasi mode); its existence means q fails.  Non-rigid
     cubes fail outright with no witness.
     """
-    if mode not in ("monophobic", "quasimonophobic"):
-        raise ValueError(f"unknown mode {mode!r}")
+    quasi = _is_quasi(mode)
     if not is_rigid(g, q):
         return False, None
-    quasi = mode == "quasimonophobic"
     size = len(q.rep)
     verts = set(q.vertices)
     # every face but the front (n+1)-face, which is q.rep
@@ -119,6 +124,7 @@ def check_graph(g, n, mode="quasimonophobic"):
     """Check every n-cube subgraph; vacuously true when there are none."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
+    _is_quasi(mode)  # also when there is no cube to hand it to check_cube
     checks = []
     for q in cube_subgraphs(g, n):
         # a rigid cube passes or has a witness; a non-rigid one neither
@@ -138,8 +144,6 @@ def is_monophobic(g, n):
 
 def validate_witness(g, q, tau, mode):
     """Re-validate an emitted witness independently of the search."""
-    from .cubes import validate_cube
-
     validate_cube(g, tau)
     if mode == "quasimonophobic" and is_injective(tau):
         return False

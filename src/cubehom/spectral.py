@@ -2,12 +2,14 @@
 
 First-page entries are the homology groups of the degree slices of the
 normalized complex, each slice read off the complex by the positions of
-its cubes (`chains._restricted_columns`), never copied; the bottom edge
-E1[p, 0] is the same entry at dimension p.  The page's differentials push a class
-through the full boundary and project one degree step down.  Classes are represented
-on kernel-basis vectors of the slice complexes, and the canonical lift of
-such a representative already has boundary one filtration step down, so
-the differential needs no correction term.
+its cubes (`chains._restricted_columns`), never copied.  On the bottom
+edge E1[p, 0] every slice chain is a cycle, so its groups and their d^1
+are `bottom_edge_group` and `edge_map`, with no kernel presented.  Above
+it the page's differentials push a class through the full boundary and
+project one degree step down.  Classes are represented on kernel-basis
+vectors of the slice complexes, and the canonical lift of such a
+representative already has boundary one filtration step down, so the
+differential needs no correction term.
 
 Higher pages and the limit are computed from lattices of relative cycles
 inside the full chain groups, which scales to large top dimensions; the
@@ -81,19 +83,6 @@ class ConvergenceReport:
 # E^1 page with differentials
 # ---------------------------------------------------------------------------
 
-def _slice_entry(c, p, n, sel, out):
-    """E1[p, n-p], the homology at n of the degree-p slice read off c:
-    sel[m] holds the positions of its m-cubes (from m = max(p, n-1) to
-    n+1) and `out` its boundary columns at n.  Returns (group, kernel,
-    into), `into` being its columns at n+1, the `out` of the next entry."""
-    into = _restricted_columns(c, n + 1, sel[n + 1], sel[n])
-    here = len(sel[n])
-    group, kernel, _ = subquotient_presentation(
-        (into, here, len(sel[n + 1])),
-        (out, len(sel[n - 1]) if n > p else 0, here))
-    return group, kernel, into
-
-
 def _d1_map(c, n, source, target):
     """Differential from the (p, n-p) entry to (p-1, n-p): push a kernel
     representative through the boundary and keep the degree-(p-1) part.
@@ -118,24 +107,33 @@ def e1_page(c, max_total):
     """First page of the degree spectral sequence for all p + q <= max_total.
 
     Entries vanish outside 0 <= p <= p+q, so only that triangle is stored.
-    Each slice is read off c by position (`_slice_entry`), never copied,
-    and each of its boundary columns is restricted once.  Requires the
-    complex through dimension max_total + 1.
+    The bottom edge and its d^1 are `bottom_edge_group` and `edge_map`;
+    above it each slice is read off c by position, never copied, and each
+    of its boundary columns is restricted once.  Requires the complex
+    through dimension max_total + 1.
     """
     if max_total < 0:
         raise ValueError("max_total must be non-negative")
     c.require(max_total + 1, "first page through this total degree")
-    cache, entries, differentials = {}, {}, {}
-    for p in range(max_total + 1):
+    edge = [bottom_edge_group(c, p) for p in range(max_total + 1)]
+    entries = {(p, 0): group for p, (group, _) in enumerate(edge)}
+    differentials = {(p, 0): edge_map(c, p, edge[p], edge[p - 1])
+                     for p in range(1, max_total + 1)}
+    cache = {}
+    for p in range(max_total):  # nothing lies above the edge at max_total
         sel = [_slice_positions(c, n, p) for n in range(max_total + 2)]
-        out = [{}] * len(sel[p])  # a slice has no cubes below dimension p
-        for n in range(p, max_total + 1):
-            group, kernel, out = _slice_entry(c, p, n, sel, out)
+        out = _restricted_columns(c, p + 1, sel[p + 1], sel[p])
+        for n in range(p + 1, max_total + 1):
+            into = _restricted_columns(c, n + 1, sel[n + 1], sel[n])
+            group, kernel, _ = subquotient_presentation(
+                (into, len(sel[n]), len(sel[n + 1])),
+                (out, len(sel[n - 1]), len(sel[n])))
             entries[(p, n - p)] = group
             cache[(p, n)] = sel[n], group, kernel
             if p:
                 differentials[(p, n - p)] = _d1_map(
                     c, n, cache[(p, n)], cache[(p - 1, n - 1)])
+            out = into
     return SpectralPage(1, entries, differentials)
 
 

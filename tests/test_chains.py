@@ -23,6 +23,11 @@ from cubehom.graphs import Graph, cycle_graph, greene_sphere, hypercube_graph
 from cubehom.zlinalg import dense_to_sparse, echelon_from_rows
 
 
+def positions(c, n):
+    """Cube -> position in c.basis[n]."""
+    return {q: i for i, q in enumerate(c.basis[n])}
+
+
 def boundary_vector(c, chain, n):
     """Boundary of a sparse chain in basis coordinates."""
     out = {}
@@ -46,10 +51,11 @@ def test_k2_edge_boundary():
     g = Graph(2, [(0, 1)])
     c = normalized_complex(g, 1)
     assert c.dim(1) == 2
-    j = c.index[1][(0, 1)]
+    j = positions(c, 1)[(0, 1)]
     col = c.columns[1][j]
     # boundary of the edge 0->1 is -(<0> - <1>) = <1> - <0>
-    i0, i1 = c.index[0][(0,)], c.index[0][(1,)]
+    at0 = positions(c, 0)
+    i0, i1 = at0[(0,)], at0[(1,)]
     assert col == {i0: -1, i1: 1}
 
 
@@ -57,12 +63,13 @@ def test_square_boundary_formula():
     g = hypercube_graph(2)  # corners 0,1,2,3 with edges of the 4-cycle
     c = normalized_complex(g, 2)
     sq = (0, 1, 2, 3)
-    col = c.columns[2][c.index[2][sq]]
+    col = c.columns[2][positions(c, 2)[sq]]
+    at1 = positions(c, 1)
     expect = {}
-    expect[c.index[1][face(sq, 1, MINUS)]] = -1   # -(edge 0->2)
-    expect[c.index[1][face(sq, 1, PLUS)]] = 1     # +(edge 1->3)
-    expect[c.index[1][face(sq, 2, MINUS)]] = 1    # +(edge 0->1)
-    expect[c.index[1][face(sq, 2, PLUS)]] = -1    # -(edge 2->3)
+    expect[at1[face(sq, 1, MINUS)]] = -1   # -(edge 0->2)
+    expect[at1[face(sq, 1, PLUS)]] = 1     # +(edge 1->3)
+    expect[at1[face(sq, 2, MINUS)]] = 1    # +(edge 0->1)
+    expect[at1[face(sq, 2, PLUS)]] = -1    # -(edge 2->3)
     assert col == expect
 
 
@@ -104,8 +111,9 @@ def test_degree_subcomplex_levels():
 def test_degree_subcomplex_boundary_is_restriction():
     c = normalized_complex(greene_sphere(4), 2)
     c1 = degree_subcomplex(c, 1)
+    at2 = positions(c, 2)
     for j, corners in enumerate(c1.basis[2]):
-        old = c.columns[2][c.index[2][corners]]
+        old = c.columns[2][at2[corners]]
         new = c1.columns[2][j]
         assert {c1.basis[1][i]: v for i, v in new.items()} == \
             {c.basis[1][i]: v for i, v in old.items()}
@@ -123,14 +131,15 @@ def test_degree_quotient_basis():
 def test_quotient_boundary_drops_offdegree_terms():
     c = normalized_complex(greene_sphere(4), 3)
     q = degree_quotient_complex(c, 2)
+    at2, at3 = positions(c, 2), positions(c, 3)
     for j, corners in enumerate(q.basis[3]):
         col = q.columns[3][j]
         for i, v in col.items():
             assert cube_degree(q.basis[2][i]) == 2
         # kept coefficients agree with the full boundary
-        full = c.columns[3][c.index[3][corners]]
+        full = c.columns[3][at3[corners]]
         for i, v in col.items():
-            assert full[c.index[2][q.basis[2][i]]] == v
+            assert full[at2[q.basis[2][i]]] == v
 
 
 def test_homology_h0_connected():
@@ -174,6 +183,7 @@ def test_flip_prism_identity_in_top_quotient():
     g = greene_sphere(4)
     c = normalized_complex(g, 3)
     q = degree_quotient_complex(c, 2)
+    at2, at3 = positions(q, 2), positions(q, 3)
     checked = 0
     for sq in q.basis[2]:
         if not is_injective(sq):
@@ -182,11 +192,11 @@ def test_flip_prism_identity_in_top_quotient():
             rho = flip_prism(sq, i)
             assert not is_degenerate(rho)
             assert cube_degree(rho) == 2
-            j = q.index[3][rho]
+            j = at3[rho]
             col = dict(q.columns[3][j])
             flipped = apply_automorphism(sq, CubeAutomorphism.reflection(2, i))
             sign = (-1) ** i
-            expect = {q.index[2][sq]: sign, q.index[2][flipped]: sign}
+            expect = {at2[sq]: sign, at2[flipped]: sign}
             assert col == expect
         checked += 1
         if checked >= 8:

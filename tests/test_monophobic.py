@@ -266,6 +266,14 @@ def test_vacuous_above_cubical_dimension():
     assert check_graph(cycle_graph(5), 2, "quasimonophobic").overall
 
 
+def test_unknown_mode_raises_without_cubes():
+    # C5 has no squares, so no cube check ever sees the mode
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        check_graph(cycle_graph(5), 2, "bogus")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        check_graph(cycle_graph(5), 1, "bogus")
+
+
 def test_nonrigid_reported_distinctly():
     report = check_graph(k4(), 2, "quasimonophobic")
     assert not report.overall

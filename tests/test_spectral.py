@@ -135,25 +135,26 @@ def slice_complexes(sphere4, k23):
 def _copied_slices_page(c, max_total):
     """page_to_json of the first page through copied slice complexes:
     `degree_quotient_complex` and `homology_presentation` per entry, then
-    the d^1 push with the slices' cube-keyed indices."""
+    the d^1 push through cube -> position dicts built from the bases."""
     slices = [degree_quotient_complex(c, p) for p in range(max_total + 1)]
     pres = {(p, n): homology_presentation(slices[p], n)[:2]
             for n in range(max_total + 1) for p in range(n + 1)}
+    at = [{q: i for i, q in enumerate(b)} for b in c.basis]
     differentials = {}
     for (p, n), (group, kernel) in pres.items():
         if p == 0:
             continue
         src, tgt = slices[p], slices[p - 1]
         tgt_group, tgt_kernel = pres[(p - 1, n - 1)]
+        tgt_at = {q: i for i, q in enumerate(tgt.basis[n - 1])}
         cols = []
         for kvec in kernel.rows:
             bnd = {}
             for jq, a in kvec.items():
-                axpy(bnd, a, c.columns[n][c.index[n][src.basis[n][jq]]])
-            at = tgt.index[n - 1]
+                axpy(bnd, a, c.columns[n][at[n][src.basis[n][jq]]])
             cols.append(tgt_kernel.express(
-                {at[c.basis[n - 1][i]]: v for i, v in bnd.items()
-                 if c.basis[n - 1][i] in at}))
+                {tgt_at[c.basis[n - 1][i]]: v for i, v in bnd.items()
+                 if c.basis[n - 1][i] in tgt_at}))
         differentials[(p, n - p)] = GroupMap(group, tgt_group, cols)
     entries = {(p, n - p): group for (p, n), (group, _) in pres.items()}
     return page_to_json(SpectralPage(1, entries, differentials))
@@ -172,6 +173,24 @@ def test_e1_copies_no_slice_complex(monkeypatch, sphere4, k23):
 
     monkeypatch.setattr(chains, "_restrict", no_copy)
     assert [page_to_json(e1_page(c, 2)) for c in (sphere4, k23)] == expected
+
+
+def test_e1_presents_no_kernel_at_the_bottom_edge(monkeypatch, sphere4, k23):
+    # E1[p, 0] comes from bottom_edge_group, so every kernel presentation
+    # e1_page builds is above the edge, where d_out has the slice's
+    # (n-1)-cubes as rows; only an empty slice at n (the degree-0 slice
+    # above dimension 0) has neither rows nor columns
+    real, calls = spectral.subquotient_presentation, []
+
+    def spy(d_in, d_out):
+        calls.append(d_out[1:])
+        return real(d_in, d_out)
+
+    monkeypatch.setattr(spectral, "subquotient_presentation", spy)
+    for c in (sphere4, k23):
+        for max_total in range(3):
+            e1_page(c, max_total)
+    assert calls and all(rows or not cols for rows, cols in calls)
 
 
 def test_bottom_edge_relations_match_a_direct_echelon(slice_complexes):
