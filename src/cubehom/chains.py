@@ -9,7 +9,7 @@ filtration subcomplexes and their quotients are basis restrictions.
 Boundary matrices are stored as sparse columns ({row: coeff} dicts) and
 handed to `zlinalg` as they are; nothing here densifies them.  Copied
 subcomplexes and the degree slices that `spectral` reads off a complex
-read a column on a sub-basis one way, by position (`_reindex`).
+read a column on a sub-basis one way, by position (`_restricted_columns`).
 """
 
 from .budget import DimensionBudgetError
@@ -79,19 +79,15 @@ def normalized_complex(g, max_dim):
     return BasedComplex(max_dim, basis, degrees, columns)
 
 
-def _reindex(col, remap):
-    """The entries of a sparse column at the positions `remap` holds, each
-    keyed by its new position there: the one way a column is read on a
-    sub-basis."""
-    return {remap[r]: v for r, v in col.items() if r in remap}
-
-
 def _restricted_columns(c, n, cols, rows):
-    """Boundary columns of the n-cubes at the positions `cols` of
-    c.basis[n], read on the (n-1)-cubes at the increasing positions
-    `rows` (`_reindex`)."""
+    """Source (see `zlinalg.echelon_from_rows`) of the boundary columns of
+    the n-cubes at the positions `cols` of c.basis[n], each restricted
+    while it is read to the (n-1)-cubes at the increasing positions `rows`
+    and keyed by its position there."""
     remap = {old: new for new, old in enumerate(rows)}
-    return [_reindex(c.columns[n][i], remap) for i in cols]
+    stored = c.columns[n]
+    return lambda: ({remap[r]: v for r, v in stored[i].items() if r in remap}
+                    for i in cols)
 
 
 def _slice_positions(c, n, k):
@@ -110,7 +106,7 @@ def _restrict(c, keep):
     """
     basis = [tuple(c.basis[n][i] for i in sel) for n, sel in enumerate(keep)]
     degrees = [[c.degrees[n][i] for i in sel] for n, sel in enumerate(keep)]
-    columns = [[]] + [_restricted_columns(c, n, keep[n], keep[n - 1])
+    columns = [[]] + [list(_restricted_columns(c, n, keep[n], keep[n - 1])())
                       for n in range(1, c.max_dim + 1)]
     return BasedComplex(c.max_dim, basis, degrees, columns)
 

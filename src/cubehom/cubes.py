@@ -164,7 +164,8 @@ class CubeAutomorphism:
     def __init__(self, src, flip):
         self.src = tuple(src)
         self.flip = tuple(flip)
-        assert sorted(self.src) == list(range(len(self.src)))
+        if sorted(self.src) != list(range(len(self.flip))):
+            raise ValueError("src must permute 0..n-1, with one flip each")
 
     @property
     def n(self):

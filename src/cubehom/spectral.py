@@ -2,9 +2,11 @@
 
 First-page entries are the homology groups of the degree slices of the
 normalized complex, each slice read off the complex by the positions of
-its cubes (`chains._restricted_columns`), never copied.  On the bottom
-edge E1[p, 0] every slice chain is a cycle, so its groups and their d^1
-are `bottom_edge_group` and `edge_map`, with no kernel presented.  Above
+its cubes (`chains._restricted_columns`), never copied: a column is
+restricted only while it is read, so an entry holds rank-many rows, not
+the slice's columns.  On the bottom edge E1[p, 0] every slice chain is a
+cycle, so its groups and their d^1 are `bottom_edge_group` and
+`edge_map`, with no kernel presented.  Above
 it the page's differentials push a class through the full boundary and
 project one degree step down.  Classes are represented on kernel-basis
 vectors of the slice complexes, and the canonical lift of such a
@@ -89,7 +91,7 @@ def _d1_map(c, n, source, target):
     source and target are (positions, group, kernel) triples."""
     src_sel, src_group, src_kernel = source
     tgt_sel, tgt_group, tgt_kernel = target
-    block = _restricted_columns(c, n, src_sel, tgt_sel)
+    block = list(_restricted_columns(c, n, src_sel, tgt_sel)())
     cols = []
     for kvec in src_kernel.rows:
         bnd = {}
@@ -109,7 +111,7 @@ def e1_page(c, max_total):
     Entries vanish outside 0 <= p <= p+q, so only that triangle is stored.
     The bottom edge and its d^1 are `bottom_edge_group` and `edge_map`;
     above it each slice is read off c by position, never copied, and each
-    of its boundary columns is restricted once.  Requires the complex
+    column is restricted only while it is read.  Requires the complex
     through dimension max_total + 1.
     """
     if max_total < 0:
@@ -122,18 +124,18 @@ def e1_page(c, max_total):
     cache = {}
     for p in range(max_total):  # nothing lies above the edge at max_total
         sel = [_slice_positions(c, n, p) for n in range(max_total + 2)]
-        out = _restricted_columns(c, p + 1, sel[p + 1], sel[p])
+
+        def d(n):
+            return (_restricted_columns(c, n, sel[n], sel[n - 1]),
+                    len(sel[n - 1]), len(sel[n]))
+
         for n in range(p + 1, max_total + 1):
-            into = _restricted_columns(c, n + 1, sel[n + 1], sel[n])
-            group, kernel, _ = subquotient_presentation(
-                (into, len(sel[n]), len(sel[n + 1])),
-                (out, len(sel[n - 1]), len(sel[n])))
+            group, kernel, _ = subquotient_presentation(d(n + 1), d(n))
             entries[(p, n - p)] = group
             cache[(p, n)] = sel[n], group, kernel
             if p:
                 differentials[(p, n - p)] = _d1_map(
                     c, n, cache[(p, n)], cache[(p - 1, n - 1)])
-            out = into
     return SpectralPage(1, entries, differentials)
 
 
@@ -175,15 +177,14 @@ def bottom_edge_group(c, p):
         return AbelianGroup.trivial(), ()
     c.require(p + 1, f"relations of the degree-{p} slice at dimension {p}")
     rels = _restricted_columns(c, p + 1, _slice_positions(c, p + 1, p), here)
-    return (AbelianGroup(len(here), echelon_from_rows(rels, len(here))),
-            tuple(c.basis[p][i] for i in here))
+    return AbelianGroup(len(here), rels), tuple(c.basis[p][i] for i in here)
 
 
 def _edge_cover(c, n):
     """Boundary columns of the injective n-cubes on the injective
     (n-1)-cubes, the generators of the bottom edge at n and n-1."""
-    return _restricted_columns(c, n, _slice_positions(c, n, n),
-                               _slice_positions(c, n - 1, n - 1))
+    return list(_restricted_columns(c, n, _slice_positions(c, n, n),
+                                    _slice_positions(c, n - 1, n - 1))())
 
 
 def edge_map(c, p, source, target):
@@ -270,7 +271,8 @@ def _boundary_image(c, n, p):
     boundary(x) in F_cut C_n} off the echelon of the stored boundary
     columns of degree at most p (`_degree_reader`)."""
     return _degree_reader(c.degrees[n], echelon_from_rows(
-        (col for col, d in zip(c.columns[n + 1], c.degrees[n + 1]) if d <= p),
+        lambda: (col for col, d in zip(c.columns[n + 1], c.degrees[n + 1])
+                 if d <= p),
         c.dim(n)))
 
 

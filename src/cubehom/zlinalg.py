@@ -9,9 +9,10 @@ an exact computation should see first; no answer is read off it.
 
 Vectors over a fixed ambient Z^n are sparse {index: coeff} dicts (zero
 coefficients never stored), and a matrix is a list of them, by rows or by
-columns; dense lists are accepted only as input vectors.  Lattices are
-held as `Echelon` objects: row bases sorted by strictly increasing pivot
-column.
+columns, or a source: a zero-argument callable that returns a fresh
+iterator of them (`_read`); dense lists are accepted only as input vectors.
+Lattices are held as `Echelon` objects: row bases sorted by strictly
+increasing pivot column.
 
 All sparse-vector and lattice arithmetic of the package lives in this
 module; the other modules call it rather than update, reduce or quotient
@@ -22,11 +23,11 @@ lattice modulo a sublattice, `lattice_torsion` reads the torsion of a
 quotient of Z^n from the echelon rows whose pivot is not +-1, through the
 transform-free `smith_normal_form`, and `GF2Echelon.add` tracks a rank
 modulo 2.  `gf2_pick` picks the rows that raise that rank and `replay`
-adds them exactly; `echelon_from_rows` adds the other rows exactly only
-when `_certified` cannot prove them redundant by one exact remainder each,
-packed: small ints side by side in one Python int, in lanes too wide to
-carry into each other (`_pack`, `_packed_sum`); `_check_composable` checks
-d o d = 0 the same way.
+adds them exactly; `echelon_from_rows` then reads its rows again and adds
+one exactly only when `_certificate` cannot prove it redundant by one
+exact remainder, packed: small ints side by side in one Python int, in
+lanes too wide to carry into each other (`_pack`, `_packed_sum`);
+`_check_composable` checks d o d = 0 the same way.
 """
 
 from bisect import bisect_left
@@ -247,37 +248,53 @@ def replay(ech, rows):
         ech.add(dict(r))
 
 
+def _read(rows):
+    """A fresh iterator of sparse rows over `rows`: a source is called,
+    anything else iterated, and dense rows are made sparse."""
+    return (r if isinstance(r, dict) else dense_to_sparse(r)
+            for r in (rows() if callable(rows) else rows))
+
+
 def echelon_from_rows(rows, ncols):
-    """Echelonize an iterable of rows (dense lists or sparse dicts, which
-    are not modified).
+    """Echelonize rows (dense lists or sparse dicts, which are not
+    modified) given as a sequence or as a source that yields the same rows
+    on every call; a one-shot iterator is listed once.
 
     Most rows of a boundary matrix add nothing to the lattice of the rows
-    before them, so they are not all added exactly: `gf2_pick` picks the
-    rows that raise the rank modulo 2, and only those are added (`replay`).
-    If every pivot of this replay is +-1, its lattice L' is
-    saturated: an integer vector in its rational span has integer
-    coordinates over the rows.  Reduced to row-echelon form R, a rational
-    combination of the rows is fixed by its entries at the pivots, so a row
-    v lies in L' iff the remainder v - sum over pivots j of v_j R_j / R_jj
-    vanishes.  L' lies in the lattice L of all rows, so zero remainders for
-    every rejected row prove L' = L (`_certified`).
+    before them, so they are not all added exactly.  Pass 1 holds only the
+    rows that raise the rank modulo 2 and the largest |v|_1, and adds those
+    rows exactly (`replay`).  If every pivot of this replay is +-1, its
+    lattice L' is saturated: an integer vector in its rational span has
+    integer coordinates over the rows.  Reduced to row-echelon form R, a
+    rational combination of the rows is fixed by its entries at the
+    pivots, so a row v lies in L' iff the remainder v - sum over pivots j
+    of v_j R_j / R_jj vanishes.  L' lies in the lattice of all rows, so
+    pass 2 reads the rows again and adds exactly only those whose
+    remainder is not 0 (`_certificate`); with a non-unit pivot, all of
+    them.  Memory follows the rank, not the row count.
 
     The remainders are evaluated packed: one Python int per reduced row,
     a lane per non-pivot coordinate, each row packed from its own lowest
     lane.  A lane holds v_c - sum_j v_j R_jc / R_jj, at most |v|_1 * max|R|
     in absolute value; lanes that wide cannot carry into each other, so the
-    packed remainder is 0 iff every lane is (`_packed_sum`).  A non-unit
-    pivot or a nonzero remainder sends the rows not yet certified through
-    exact `Echelon.add`, as copies.
+    packed remainder is 0 iff every lane is (`_packed_sum`).
     """
-    picked, rejected = gf2_pick(
-        (r if isinstance(r, dict) else dense_to_sparse(r) for r in rows),
-        GF2Echelon())
+    if not callable(rows) and not isinstance(rows, (list, tuple)):
+        rows = list(rows)
+    gf2, picked, norm = GF2Echelon(), [], 0
+    for r in _read(rows):
+        checkpoint()
+        norm = max(norm, sum(map(abs, r.values())))
+        if gf2.add(r):
+            picked.append(r)
     ech = Echelon(ncols)
     replay(ech, picked)
-    done = _certified(ech, rejected) if ech.has_unit_pivots() else 0
-    for r in rejected[done:]:
-        ech.add(dict(r))
+    del gf2, picked  # pass 2 holds nothing of pass 1
+    table = _certificate(ech, norm) if ech.has_unit_pivots() else {}
+    for r in _read(rows):
+        checkpoint()
+        if not r.keys() <= table.keys() or _packed_sum(r, table):
+            ech.add(dict(r))
     return ech
 
 
@@ -290,15 +307,6 @@ def _pack(vec, width):
         return 0, 0
     lo = min(vec)
     return width * lo, sum(v << width * (k - lo) for k, v in vec.items())
-
-
-def _lane_width(coeffs, vectors):
-    """Lane width, in bits, for sums of `vectors` weighted by any of the
-    coefficient vectors `coeffs`: a lane of such a sum is at most
-    |c|_1 * max|vector entry| in absolute value, and stays below 2^width."""
-    big = max((abs(v) for vec in vectors for v in vec.values()), default=0)
-    norm = max((sum(map(abs, c.values())) for c in coeffs), default=0)
-    return (norm * big).bit_length()
 
 
 def _packed_sum(vec, packed):
@@ -316,11 +324,11 @@ def _packed_sum(vec, packed):
     return acc
 
 
-def _certified(ech, rows):
+def _certificate(ech, norm):
     """Bring `ech`, whose pivots are all +-1, to reduced row-echelon form
-    R in place, and return how many leading `rows` are proved to lie in
-    its lattice: those whose remainder v - sum over pivots j of v_j R_j
-    vanishes (see `echelon_from_rows`)."""
+    R in place, and return the table that `_packed_sum` turns into the
+    packed remainder v - sum over pivots j of v_j R_j of a row v with
+    |v|_1 <= norm (see `echelon_from_rows`)."""
     basis, pivots = ech.rows, ech.pivots
     where = {j: k for k, j in enumerate(pivots)}
     # bottom up: a subtracted row is already reduced, so it clears its own
@@ -333,7 +341,8 @@ def _certified(ech, rows):
     lane = {j: i for i, j in enumerate(sorted(
         {j for row in basis for j in row if j not in where}))}
     # a lane holds v_c - sum_j v_j R_jc / R_jj, and max|R| >= 1 covers v_c
-    width = _lane_width(rows, basis)
+    big = max((abs(v) for row in basis for v in row.values()), default=0)
+    width = (norm * big).bit_length()
     # a non-pivot coordinate enters the remainder as itself, a pivot j as
     # -R_j times the pivot's sign, the coefficient being v_j / R_jj
     table = {j: (width * i, 1) for j, i in lane.items()}
@@ -341,12 +350,7 @@ def _certified(ech, rows):
         shift, p = _pack({lane[i]: v for i, v in row.items() if i in lane},
                          width)
         table[j] = shift, -p * row[j]
-    keys = table.keys()
-    for done, vec in enumerate(rows):
-        checkpoint()
-        if not vec.keys() <= keys or _packed_sum(vec, table):
-            return done
-    return len(rows)
+    return table
 
 
 def split_echelon(columns, top, bottom):
@@ -379,9 +383,9 @@ def split_echelon(columns, top, bottom):
 
 def kernel_echelon(columns, nrows, ncols):
     """Kernel lattice {x : M x = 0} of the matrix with the given sparse
-    columns (length `ncols`, entries indexed below `nrows`)."""
-    _, ker = split_echelon(
-        ((col, {j: 1}) for j, col in enumerate(columns)), nrows, ncols)
+    columns (`ncols` of them, entries indexed below `nrows`), read once."""
+    _, ker = split_echelon(((col, {j: 1}) for j, col in
+                            enumerate(_read(columns))), nrows, ncols)
     return ker
 
 
@@ -684,17 +688,24 @@ def subquotient_homology(d_in, d_out):
 
 
 def _check_composable(d_in, d_out):
-    """Exact check that d_out o d_in = 0: each d_out column is packed into
-    one int with a lane per row (`_pack`), and each d_in column sums them
-    (`_packed_sum`).  A lane of the sum is at most |col|_1 * max|d_out| in
-    absolute value, which fixes the lane width (`_lane_width`)."""
+    """Exact check that d_out o d_in = 0 in one read of d_in: each d_out
+    column is packed into one int with a lane per row (`_pack`), and each
+    d_in column sums them (`_packed_sum`).  A lane of the sum is at most
+    |col|_1 * max|d_out|; d_out is packed again, twice as wide as that
+    needs, when a column outgrows the lanes."""
     in_cols, mid, _ = d_in
     out_cols, _, out_ncols = d_out
     if mid != out_ncols:
         raise ValueError("boundary matrices are not composable")
-    width = _lane_width(in_cols, out_cols)
-    packed = [_pack(col, width) for col in out_cols]
-    for col in in_cols:
+    width, big, packed = 0, 1, None
+    for col in _read(in_cols):
+        norm = sum(map(abs, col.values()))
+        while (norm * big).bit_length() > width:
+            width = 2 * (norm * big).bit_length()
+            packed = []
+            for out in _read(out_cols):
+                big = max(big, max(map(abs, out.values()), default=0))
+                packed.append(_pack(out, width))
         if _packed_sum(col, packed):
             raise ContractViolation("boundary of a boundary is nonzero")
 

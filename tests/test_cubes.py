@@ -357,6 +357,15 @@ def test_group_order():
     assert len(set(all_automorphisms(3))) == 48  # 2^3 * 3!
 
 
+@pytest.mark.parametrize("src, flip", [
+    ([0, 1], [1]),      # one flip short: corner_map would index past it
+    ([0, 0], [0, 0]),   # not a permutation, so no automorphism at all
+])
+def test_automorphism_rejects_malformed_input(src, flip):
+    with pytest.raises(ValueError):
+        CubeAutomorphism(src, flip)
+
+
 def test_relating_automorphism_basics():
     sigma = (10, 11, 12, 13)
     aut, sign = relating_automorphism(sigma, sigma)

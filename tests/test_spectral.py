@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -276,6 +277,62 @@ def test_bottom_edge_trivial_without_injective_cubes():
     c = normalized_complex(greene_sphere(4), 3)
     group, basis = bottom_edge_group(c, 3)
     assert group.is_trivial and basis == ()
+
+
+class _CountingSource:
+    """A column source that counts its reads; it is callable, not
+    iterable, so listing it raises."""
+
+    def __init__(self, source):
+        self.source, self.reads = source, 0
+
+    def __call__(self):
+        self.reads += 1
+        return self.source()
+
+
+def test_slice_sources_are_streamed(monkeypatch, sphere4, k23):
+    # each slice source is read by the d o d check and the two passes of
+    # the image builder, or as d_out by the check and the kernel, and is
+    # never listed
+    want = [(page_to_json(e1_page(c, 2)),
+             [bottom_edge_group(c, p)[0].invariants() for p in range(3)])
+            for c in (sphere4, k23)]
+    real, made = chains._restricted_columns, []
+
+    def counting(*args):
+        made.append(_CountingSource(real(*args)))
+        return made[-1]
+
+    monkeypatch.setattr(spectral, "_restricted_columns", counting)
+    got = [(page_to_json(e1_page(c, 2)),
+            [bottom_edge_group(c, p)[0].invariants() for p in range(3)])
+           for c in (sphere4, k23)]
+    assert got == want
+    assert made and all(1 <= s.reads <= 3 for s in made)
+
+
+def _peak_mb(run):
+    """tracemalloc peak of `run()` above what is allocated when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_e1_page_holds_no_slice_copy(sphere4):
+    # above the stored complex of greene-sphere(4): copied, the degree-1
+    # slice's 14,064 restricted 3-columns took e1_page to 4.5 MB
+    assert _peak_mb(lambda: e1_page(sphere4, 2)) <= 2.0
+
+
+def test_bottom_edge_holds_no_relation_copy(sphere4):
+    # copied, the 7,488 degree-2 3-columns read on the injective squares
+    # took bottom_edge_group to 1.6 MB above the complex of greene-sphere(4)
+    assert _peak_mb(lambda: bottom_edge_group(sphere4, 2)) <= 0.75
 
 
 # ---------------------------------------------------------------------------

@@ -576,12 +576,60 @@ def test_echelon_from_rows_matches_sequential_adds_random():
         rows = [{j: rng.randint(-3, 3) for j in range(ncols)
                  if rng.random() < density} for _ in range(rng.randint(0, 12))]
         rows = [{j: v for j, v in r.items() if v} for r in rows]
+        # a list source and a callable source span the lattice of the
+        # sequential adds
         _assert_same_lattice(rows, ncols)
+        _assert_same_lattice(rows, ncols, feed=_callable)
         # mostly redundant rows over a few generators: the certified path
         base = rows[:rng.randint(0, 4)]
         more = base + [_combination(rng, base) for _ in range(15)]
         rng.shuffle(more)
         _assert_same_lattice(more, ncols)
+        _assert_same_lattice(more, ncols, feed=_callable)
+
+
+def _callable(rows):
+    """A callable source over `rows` that refuses more than two reads."""
+    reads = []
+
+    def source():
+        reads.append(1)
+        assert len(reads) <= 2, "the builder read its source a third time"
+        return iter(rows)
+    return source
+
+
+def _exact_adds(monkeypatch):
+    """Copies of the vectors that go through `Echelon.add` from now on."""
+    added, add = [], Echelon.add
+    monkeypatch.setattr(Echelon, "add",
+                        lambda ech, vec: added.append(dict(vec)) or
+                        add(ech, vec))
+    return added
+
+
+def test_echelon_from_rows_adds_a_failed_certificate(monkeypatch):
+    # {0: 2} vanishes modulo 2, so the pick rejects it; its remainder
+    # against the replayed (1, 1) is -2 e_0, not 0, so it is added exactly
+    added = _exact_adds(monkeypatch)
+    got = echelon_from_rows([{0: 1, 1: 1}, {0: 2}], 2)
+    assert added == [{0: 1, 1: 1}, {0: 2}]
+    monkeypatch.undo()
+    assert lattice_torsion(got) == (2,)
+    _assert_same_lattice([{0: 1, 1: 1}, {0: 2}], 2, feed=_callable)
+
+
+def test_echelon_from_rows_non_unit_replay_adds_every_row(monkeypatch):
+    # (1, 2) and (0, 3) are independent modulo 2 and replay to the pivot 3;
+    # with no certificate, pass 2 adds every row exactly, the rejected
+    # (1, 5) and (0, 1) included
+    rows = [{0: 1, 1: 2}, {1: 3}, {0: 1, 1: 5}, {1: 1}]
+    added = _exact_adds(monkeypatch)
+    got = echelon_from_rows(_callable(rows), 2)
+    assert added == rows[:2] + rows
+    monkeypatch.undo()
+    assert got.has_unit_pivots() and got.rank == 2
+    _assert_same_lattice(rows, 2)
 
 
 def test_echelon_from_rows_gf2_dependent_rows():
@@ -692,3 +740,7 @@ def test_composable_check_lane_width():
     d_out = triple([[1, 1, 0], [0, 1, 1]], 3)
     d_in = ([{0: 1 << 40, 1: -(1 << 40), 2: 1 << 40}], 3, 1)
     assert subquotient_homology(d_in, d_out).invariants() == (0, (1 << 40,))
+    # d_out o d_in = (4, -1): the first packing, in 2-bit lanes, meets the
+    # entry 4 of d_out and must widen, or 4 - 1 * 2^2 would read 0
+    with pytest.raises(ContractViolation):
+        subquotient_homology(([{0: 1}], 1, 1), ([{0: 4, 1: -1}], 2, 1))
