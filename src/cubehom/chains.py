@@ -7,9 +7,12 @@ carries its degree (largest injective iterated-face dimension), so the
 filtration subcomplexes and their quotients are basis restrictions.
 
 Boundary matrices are stored as sparse columns ({row: coeff} dicts) and
-handed to `zlinalg` as they are; nothing here densifies them.  Copied
-subcomplexes and the degree slices that `spectral` reads off a complex
-read a column on a sub-basis one way, by position (`_restricted_columns`).
+handed to `zlinalg` as they are; nothing here densifies them.  Every
+module reads a boundary one way, `block`: the full complex, the filtration
+levels F_k C (`filtered_homology`), the degree slices of `spectral` and
+the CW complex all take the block of d_n on the cubes at chosen positions,
+each column restricted to chosen rows only while it is read.  d o d = 0
+is checked where the homology is taken (`zlinalg.subquotient_homology`).
 """
 
 from .budget import DimensionBudgetError
@@ -79,15 +82,29 @@ def normalized_complex(g, max_dim):
     return BasedComplex(max_dim, basis, degrees, columns)
 
 
-def _restricted_columns(c, n, cols, rows):
-    """Source (see `zlinalg.echelon_from_rows`) of the boundary columns of
-    the n-cubes at the positions `cols` of c.basis[n], each restricted
-    while it is read to the (n-1)-cubes at the increasing positions `rows`
-    and keyed by its position there."""
-    remap = {old: new for new, old in enumerate(rows)}
+def block(c, n, cols=None, rows=None):
+    """(source, nrows, ncols) of d_n on the n-cubes at the increasing
+    positions `cols`, each column restricted while it is read to the
+    (n-1)-cubes at the increasing positions `rows` and keyed by its
+    position there; None selects every cube, and d_0 is the zero map.  The
+    source is one `zlinalg.echelon_from_rows` takes: the stored columns
+    when nothing is selected, else a callable that reads them again.  c is
+    a `BasedComplex` or a `cwcomplex.CwCubeComplex`."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    c.require(n, f"the boundary of dimension {n}")
+    ncols = c.dim(n) if cols is None else len(cols)
+    if n == 0:
+        return [{}] * ncols, 0, ncols
     stored = c.columns[n]
-    return lambda: ({remap[r]: v for r, v in stored[i].items() if r in remap}
-                    for i in cols)
+    picked = range(ncols) if cols is None else cols
+    if rows is None:
+        source = (stored if cols is None
+                  else lambda: (stored[i] for i in picked))
+        return source, c.dim(n - 1), ncols
+    remap = {old: new for new, old in enumerate(rows)}
+    return (lambda: ({remap[r]: v for r, v in stored[i].items() if r in remap}
+                     for i in picked)), len(rows), ncols
 
 
 def _slice_positions(c, n, k):
@@ -106,19 +123,24 @@ def _restrict(c, keep):
     """
     basis = [tuple(c.basis[n][i] for i in sel) for n, sel in enumerate(keep)]
     degrees = [[c.degrees[n][i] for i in sel] for n, sel in enumerate(keep)]
-    columns = [[]] + [list(_restricted_columns(c, n, keep[n], keep[n - 1])())
+    columns = [[]] + [list(block(c, n, keep[n], keep[n - 1])[0]())
                       for n in range(1, c.max_dim + 1)]
     return BasedComplex(c.max_dim, basis, degrees, columns)
+
+
+def _filtration_positions(c, k, top):
+    """Positions in c.basis[n], n = 0..top, of the cubes of degree at
+    most k."""
+    if k < 0:
+        raise ValueError("filtration index must be non-negative")
+    return [[i for i, d in enumerate(c.degrees[n]) if d <= k]
+            for n in range(top + 1)]
 
 
 def degree_subcomplex(c, k):
     """Chains spanned by cubes of degree at most k (a subcomplex, since
     faces never raise degree)."""
-    if k < 0:
-        raise ValueError("filtration index must be non-negative")
-    keep = [[i for i, d in enumerate(c.degrees[n]) if d <= k]
-            for n in range(c.max_dim + 1)]
-    return _restrict(c, keep)
+    return _restrict(c, _filtration_positions(c, k, c.max_dim))
 
 
 def degree_quotient_complex(c, k):
@@ -130,28 +152,27 @@ def degree_quotient_complex(c, k):
                          for n in range(c.max_dim + 1)])
 
 
-def _in_out(c, n):
-    c.require(n, f"homology in degree {n}")
-    c.require(n + 1, f"homology in degree {n}")
-    d_in = (c.columns[n + 1], c.dim(n), c.dim(n + 1))
-    if n >= 1:
-        d_out = (c.columns[n], c.dim(n - 1), c.dim(n))
-    else:
-        d_out = ([{} for _ in range(c.dim(0))], 0, c.dim(0))
-    return d_in, d_out
-
-
 def homology(c, n):
     """H_n of the complex; requires boundaries through degree n+1."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    return subquotient_homology(*_in_out(c, n))
+    return subquotient_homology(block(c, n + 1), block(c, n))
 
 
 def homology_presentation(c, n):
     """(group, kernel basis, image-in-kernel rows) at degree n."""
-    d_in, d_out = _in_out(c, n)
-    return subquotient_presentation(d_in, d_out)
+    return subquotient_presentation(block(c, n + 1), block(c, n))
+
+
+def filtered_homology(c, k, n):
+    """H_n of F_k C, the chains of degree at most k, read off c by
+    position: faces never raise degree, so every kept column lies on the
+    kept rows, and nothing is copied (`degree_subcomplex` copies)."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    c.require(n + 1, f"homology in degree {n}")
+    keep = _filtration_positions(c, k, n + 1)
+    # block(c, 0, ...) ignores its rows, so keep[-1] is harmless at n = 0
+    return subquotient_homology(block(c, n + 1, keep[n + 1], keep[n]),
+                                block(c, n, keep[n], keep[n - 1]))
 
 
 def flip_prism(corners, i):

@@ -30,8 +30,8 @@ from .budget import (
     time_budget,
 )
 from .chains import (
-    degree_subcomplex,
     dump_complex,
+    filtered_homology,
     homology,
     normalized_complex,
 )
@@ -141,8 +141,10 @@ def compute_homology(g, args, results):
 
 def compute_filtered_homology(g, args, results):
     results.update(degree=args.degree, H=[])
-    c = degree_subcomplex(normalized_complex(g, args.max_dim), args.degree)
-    _homology_entries(results, homology, c, args.max_dim)
+    c = normalized_complex(g, args.max_dim)
+    _homology_entries(results,
+                      lambda c, n: filtered_homology(c, args.degree, n),
+                      c, args.max_dim)
 
 
 def compute_e1_page(g, args, results):

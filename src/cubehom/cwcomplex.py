@@ -13,7 +13,7 @@ with the degree-filtration world.
 """
 
 from .budget import DimensionBudgetError
-from .chains import _in_out, normalized_complex
+from .chains import block, normalized_complex
 from .cubes import canonical_parametrization, cube_subgraphs, face_getters
 from .monophobic import is_quasimonophobic
 from .spectral import _injective_cover, bottom_edge_group, edge_map
@@ -21,6 +21,7 @@ from .zlinalg import (
     AbelianGroup,
     ContractViolation,
     GroupMap,
+    apply_columns,
     axpy,
     dense_to_sparse,
     echelon_from_rows,
@@ -111,17 +112,12 @@ def cw_to_json(c):
 
 def cw_homology(c, n):
     """Cellular homology in degree n; needs cells through n+1."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    return subquotient_homology(*_in_out(c, n))
+    return subquotient_homology(block(c, n + 1), block(c, n))
 
 
 def cycle_space(c, n):
     """Echelon basis of cellular n-cycles."""
-    c.require(n)
-    if n == 0:
-        return echelon_from_rows(({j: 1} for j in range(c.dim(0))), c.dim(0))
-    return kernel_echelon(c.columns[n], c.dim(n - 1), c.dim(n))
+    return kernel_echelon(*block(c, n))
 
 
 def _rep_columns(cells, basis):
@@ -182,10 +178,9 @@ def cell_to_degree_class(g, n):
         d1 = edge_map(chain_complex, n, here, below)
         below_group, below_basis = below
         cell_cols_below = _rep_columns(cw.cells[n - 1], below_basis)
-        for j in range(cw.dim(n)):
-            diff = d1.apply(cols[j])
-            for i, v in cw.columns[n][j].items():
-                axpy(diff, -v, cell_cols_below[i])
+        for col, cell_col in zip(cols, block(cw, n)[0]):
+            diff = d1.apply(col)
+            axpy(diff, -1, apply_columns(cell_cols_below, cell_col))
             if not below_group.relations.contains(diff):
                 raise ContractViolation(
                     "cell map does not commute with the slice differential")
@@ -215,26 +210,20 @@ def geometric_class_check(g, cycle, n):
     cw = build_cw_complex(g, n + 1)
     chain_complex = normalized_complex(g, n + 1)
     vec = dense_to_sparse(cycle) if not isinstance(cycle, dict) else dict(cycle)
-    if n >= 1:
-        bnd = {}
-        for j, a in vec.items():
-            axpy(bnd, a, cw.columns[n][j])
-        if bnd:
-            raise ValueError("the given chain is not a cellular cycle")
+    if apply_columns(block(cw, n)[0], vec):
+        raise ValueError("the given chain is not a cellular cycle")
 
     quasi = is_quasimonophobic(g, n)
 
     # nonzero in cellular homology: outside the boundary lattice
-    boundaries = echelon_from_rows(cw.columns[n + 1], cw.dim(n))
+    boundaries = echelon_from_rows(*block(cw, n + 1)[:2])
     cw_nonzero = not boundaries.contains(vec)
 
     # push to the slice group and test against boundaries-from-above plus
     # slice relations (the denominator of the injective homology at n)
     here = bottom_edge_group(chain_complex, n)
     cols = _rep_columns(cw.cells[n], here[1])
-    img = {}
-    for j, a in vec.items():
-        axpy(img, a, cols[j])
+    img = apply_columns(cols, vec)
     denom = image_lattice(_injective_cover(chain_complex, n, here))
     inj_nonzero = not denom.contains(img)
     return GeometricClassResult(cw_nonzero, inj_nonzero, quasi)

@@ -2,16 +2,17 @@
 
 First-page entries are the homology groups of the degree slices of the
 normalized complex, each slice read off the complex by the positions of
-its cubes (`chains._restricted_columns`), never copied: a column is
-restricted only while it is read, so an entry holds rank-many rows, not
-the slice's columns.  On the bottom edge E1[p, 0] every slice chain is a
-cycle, so its groups and their d^1 are `bottom_edge_group` and
-`edge_map`, with no kernel presented.  Above
-it the page's differentials push a class through the full boundary and
-project one degree step down.  Classes are represented on kernel-basis
-vectors of the slice complexes, and the canonical lift of such a
-representative already has boundary one filtration step down, so the
-differential needs no correction term.
+its cubes (`chains.block`), never copied: a column is restricted only
+while it is read, so an entry holds rank-many rows, not the slice's
+columns.  An entry reads its incoming boundary twice (the image builder)
+and its outgoing one once (the kernel, in which d o d = 0 is checked by
+expressing the image rows).  On the bottom edge E1[p, 0] every slice
+chain is a cycle, so its groups and their d^1 are `bottom_edge_group` and
+`edge_map`, with no kernel presented.  Above it the page's differentials
+push a class through the full boundary and project one degree step down.
+Classes are represented on kernel-basis vectors of the slice complexes,
+and the canonical lift of such a representative already has boundary one
+filtration step down, so the differential needs no correction term.
 
 Higher pages and the limit are computed from lattices of relative cycles
 inside the full chain groups, which scales to large top dimensions; the
@@ -26,12 +27,7 @@ from collections import deque
 from itertools import chain
 
 from .budget import BudgetExhausted
-from .chains import (
-    _boundary_column,
-    _restricted_columns,
-    _slice_positions,
-    homology,
-)
+from .chains import _boundary_column, _slice_positions, block, homology
 from .cubes import cube_degree, singular_cubes
 from .zlinalg import (
     AbelianGroup,
@@ -39,7 +35,7 @@ from .zlinalg import (
     Echelon,
     GF2Echelon,
     GroupMap,
-    axpy,
+    apply_columns,
     echelon_from_rows,
     gf2_pick,
     homology_at,
@@ -91,13 +87,10 @@ def _d1_map(c, n, source, target):
     source and target are (positions, group, kernel) triples."""
     src_sel, src_group, src_kernel = source
     tgt_sel, tgt_group, tgt_kernel = target
-    block = list(_restricted_columns(c, n, src_sel, tgt_sel)())
+    d = list(block(c, n, src_sel, tgt_sel)[0]())
     cols = []
     for kvec in src_kernel.rows:
-        bnd = {}
-        for jq, a in kvec.items():
-            axpy(bnd, a, block[jq])
-        coeffs = tgt_kernel.express(bnd)
+        coeffs = tgt_kernel.express(apply_columns(d, kvec))
         if coeffs is None:
             raise ContractViolation(
                 "projected boundary is not a cycle in the target slice")
@@ -124,13 +117,10 @@ def e1_page(c, max_total):
     cache = {}
     for p in range(max_total):  # nothing lies above the edge at max_total
         sel = [_slice_positions(c, n, p) for n in range(max_total + 2)]
-
-        def d(n):
-            return (_restricted_columns(c, n, sel[n], sel[n - 1]),
-                    len(sel[n - 1]), len(sel[n]))
-
         for n in range(p + 1, max_total + 1):
-            group, kernel, _ = subquotient_presentation(d(n + 1), d(n))
+            group, kernel, _ = subquotient_presentation(
+                block(c, n + 1, sel[n + 1], sel[n]),
+                block(c, n, sel[n], sel[n - 1]))
             entries[(p, n - p)] = group
             cache[(p, n)] = sel[n], group, kernel
             if p:
@@ -176,15 +166,15 @@ def bottom_edge_group(c, p):
     if not here:
         return AbelianGroup.trivial(), ()
     c.require(p + 1, f"relations of the degree-{p} slice at dimension {p}")
-    rels = _restricted_columns(c, p + 1, _slice_positions(c, p + 1, p), here)
+    rels = block(c, p + 1, _slice_positions(c, p + 1, p), here)[0]
     return AbelianGroup(len(here), rels), tuple(c.basis[p][i] for i in here)
 
 
 def _edge_cover(c, n):
     """Boundary columns of the injective n-cubes on the injective
     (n-1)-cubes, the generators of the bottom edge at n and n-1."""
-    return list(_restricted_columns(c, n, _slice_positions(c, n, n),
-                                    _slice_positions(c, n - 1, n - 1))())
+    return list(block(c, n, _slice_positions(c, n, n),
+                      _slice_positions(c, n - 1, n - 1))[0]())
 
 
 def edge_map(c, p, source, target):
@@ -260,20 +250,18 @@ def _filtered_cycles(c, n, cut):
     F_cut C_{n-1}} off the kernel of the boundary's part above the cut
     (`_degree_reader`)."""
     degs = c.degrees[n - 1] if n else ()
-    cols = c.columns[n] if n else [{}] * c.dim(0)
-    return _degree_reader(c.degrees[n], kernel_echelon(
-        ({i: v for i, v in col.items() if degs[i] > cut} for col in cols),
-        c.dim(n - 1), c.dim(n)))
+    above = [i for i, d in enumerate(degs) if d > cut]
+    return _degree_reader(c.degrees[n],
+                          kernel_echelon(*block(c, n, rows=above)))
 
 
 def _boundary_image(c, n, p):
     """Reader `image(cut)` of the lattices {boundary(x) : x in F_p C_{n+1},
     boundary(x) in F_cut C_n} off the echelon of the stored boundary
     columns of degree at most p (`_degree_reader`)."""
+    kept = [i for i, d in enumerate(c.degrees[n + 1]) if d <= p]
     return _degree_reader(c.degrees[n], echelon_from_rows(
-        lambda: (col for col, d in zip(c.columns[n + 1], c.degrees[n + 1])
-                 if d <= p),
-        c.dim(n)))
+        *block(c, n + 1, kept)[:2]))
 
 
 def er_term(c, r, p, q, image=None, cycles=None):
@@ -309,7 +297,7 @@ def einfinity_report(c, n):
     c.require(n + 1, f"limit page at total degree {n}")
     # a cube's degree is at most its dimension, so F_{p+n+1} C_{n+1} =
     # C_{n+1} for every E^{n+2} term below: its image is all the boundaries
-    boundaries = echelon_from_rows(c.columns[n + 1], c.dim(n))
+    boundaries = echelon_from_rows(*block(c, n + 1)[:2])
     image = _degree_reader(c.degrees[n], boundaries)
     # every cut below degree 0 reads the cycles on the nose: the filtration
     # levels and all E^{n+2} terms, whose cuts p - n - 2 are negative

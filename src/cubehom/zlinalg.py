@@ -26,8 +26,12 @@ modulo 2.  `gf2_pick` picks the rows that raise that rank and `replay`
 adds them exactly; `echelon_from_rows` then reads its rows again and adds
 one exactly only when `_certificate` cannot prove it redundant by one
 exact remainder, packed: small ints side by side in one Python int, in
-lanes too wide to carry into each other (`_pack`, `_packed_sum`);
-`_check_composable` checks d o d = 0 the same way.
+lanes too wide to carry into each other (`_pack`, `_packed_sum`).  A
+homology takes each boundary as the (source, nrows, ncols) triple of
+`chains.block` and checks d o d = 0 once, on the rank-many rows of the
+image echelon it builds anyway: `subquotient_homology` applies d_out to
+them (`apply_columns`), `subquotient_presentation` expresses them in the
+whole integer kernel of d_out.
 """
 
 from bisect import bisect_left
@@ -61,6 +65,15 @@ def axpy(dst, a, src):
             dst[k] = w
         else:
             dst.pop(k, None)
+
+
+def apply_columns(columns, vec):
+    """M vec for the matrix M with the indexable sparse `columns`: the sum
+    of a * columns[j] over the entries a at j of the sparse `vec`."""
+    out = {}
+    for j, a in vec.items():
+        axpy(out, a, columns[j])
+    return out
 
 
 class Echelon:
@@ -602,10 +615,7 @@ class GroupMap:
         """Image of an element (sparse or dense coefficient vector)."""
         if not isinstance(vec, dict):
             vec = dense_to_sparse(vec)
-        out = {}
-        for j, a in vec.items():
-            axpy(out, a, self.columns[j])
-        return out
+        return apply_columns(self.columns, vec)
 
     @classmethod
     def zero(cls, source, target):
@@ -672,49 +682,35 @@ def quotient_group(ambient_rank, relations):
 def subquotient_homology(d_in, d_out):
     """Homology ker(d_out)/im(d_in) of composable integer matrices, each a
     (sparse_columns, nrows, ncols) triple; `d_in` enters the middle degree
-    and `d_out` leaves it.  Requires d_out o d_in = 0 and checks it.
+    and `d_out` leaves it.  d_in is read by the image builder alone and
+    d_out once.  Requires d_out o d_in = 0 and checks it on the image
+    echelon's rows, which span the lattice of d_in's columns.
 
     The group is classified from ranks: the free rank is the middle
     dimension less the ranks of d_out and d_in, and the torsion is that
     of the middle group modulo the image lattice (`lattice_torsion`).
     `subquotient_presentation` gives the same group with generators."""
-    _check_composable(d_in, d_out)
+    if d_in[1] != d_out[2]:
+        raise ValueError("boundary matrices are not composable")
     in_cols, mid, _ = d_in
     out_cols, out_rows, _ = d_out
     img = echelon_from_rows(in_cols, mid)
-    out_rank = echelon_from_rows(out_cols, out_rows).rank
+    out = list(_read(out_cols))
+    if any(apply_columns(out, row) for row in img.rows):
+        raise ContractViolation("boundary of a boundary is nonzero")
+    out_rank = echelon_from_rows(out, out_rows).rank
     return AbelianGroup.from_invariants(mid - out_rank - img.rank,
                                         lattice_torsion(img))
-
-
-def _check_composable(d_in, d_out):
-    """Exact check that d_out o d_in = 0 in one read of d_in: each d_out
-    column is packed into one int with a lane per row (`_pack`), and each
-    d_in column sums them (`_packed_sum`).  A lane of the sum is at most
-    |col|_1 * max|d_out|; d_out is packed again, twice as wide as that
-    needs, when a column outgrows the lanes."""
-    in_cols, mid, _ = d_in
-    out_cols, _, out_ncols = d_out
-    if mid != out_ncols:
-        raise ValueError("boundary matrices are not composable")
-    width, big, packed = 0, 1, None
-    for col in _read(in_cols):
-        norm = sum(map(abs, col.values()))
-        while (norm * big).bit_length() > width:
-            width = 2 * (norm * big).bit_length()
-            packed = []
-            for out in _read(out_cols):
-                big = max(big, max(map(abs, out.values()), default=0))
-                packed.append(_pack(out, width))
-        if _packed_sum(col, packed):
-            raise ContractViolation("boundary of a boundary is nonzero")
 
 
 def subquotient_presentation(d_in, d_out):
     """As subquotient_homology, but returns (group, kernel, relation_rows):
     the group's generators are the kernel basis rows of d_out (an Echelon)
-    and relation_rows is the image lattice written in those coordinates."""
-    _check_composable(d_in, d_out)
+    and relation_rows is the image lattice written in those coordinates.
+    The kernel is the whole integer kernel and `express` is exact, so an
+    image row outside it is exactly a failure of d_out o d_in = 0."""
+    if d_in[1] != d_out[2]:
+        raise ValueError("boundary matrices are not composable")
     in_cols, mid, _ = d_in
     ker = kernel_echelon(*d_out)
     group, rels = quotient_in(ker, echelon_from_rows(in_cols, mid).rows,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from cubehom.budget import DimensionBudgetError
@@ -5,8 +7,10 @@ from cubehom.chains import (
     degree_quotient_complex,
     degree_subcomplex,
     dump_complex,
+    filtered_homology,
     flip_prism,
     homology,
+    homology_presentation,
     normalized_complex,
 )
 from cubehom.cubes import (
@@ -19,7 +23,13 @@ from cubehom.cubes import (
     is_degenerate,
     is_injective,
 )
-from cubehom.graphs import Graph, cycle_graph, greene_sphere, hypercube_graph
+from cubehom.graphs import (
+    Graph,
+    complete_bipartite_graph,
+    cycle_graph,
+    greene_sphere,
+    hypercube_graph,
+)
 from cubehom.zlinalg import dense_to_sparse, echelon_from_rows
 
 
@@ -158,6 +168,43 @@ def test_homology_budget_error():
     c = normalized_complex(cycle_graph(5), 1)
     with pytest.raises(DimensionBudgetError):
         homology(c, 1)
+
+
+@pytest.mark.parametrize("g", [greene_sphere(4),
+                               complete_bipartite_graph(2, 3),
+                               hypercube_graph(3), cycle_graph(5)],
+                         ids=["greene-sphere-4", "K23", "Q3", "C5"])
+def test_filtered_homology_matches_copied_subcomplex(g):
+    c = normalized_complex(g, 3)
+    for k in range(4):
+        sub = degree_subcomplex(c, k)
+        for n in range(3):
+            assert filtered_homology(c, k, n).invariants() == \
+                homology(sub, n).invariants()
+
+
+def test_filtered_homology_holds_no_copy():
+    # above the stored complex of greene-sphere(4): through the copied
+    # degree_subcomplex(c, 1), H_0..H_2 of F_1 peaked at 4.2 MB
+    c = normalized_complex(greene_sphere(4), 3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        groups = [filtered_homology(c, 1, n).invariants() for n in range(3)]
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert groups == [(1, ()), (7, ()), (0, ())]
+    assert peak <= 1.5
+
+
+def test_negative_degree_is_rejected():
+    # d_{-1} was read as the top boundary, c.columns[-1]
+    c = normalized_complex(cycle_graph(5), 2)
+    for call in (homology, homology_presentation,
+                 lambda c, n: filtered_homology(c, 1, n)):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            call(c, -1)
 
 
 def test_homology_circle():

@@ -90,6 +90,17 @@ def test_filtered_homology_matches_graph_space(cli):
     assert out.splitlines() == ["H_0 = Z", "H_1 = Z^7", "H_2 = 0"]
 
 
+def test_filtered_homology_copies_no_subcomplex(cli, monkeypatch):
+    def no_copy(*args):
+        raise AssertionError("filtered-homology copied the subcomplex")
+
+    monkeypatch.setattr(cubehom.chains, "_restrict", no_copy)
+    code, out, _ = cli(["filtered-homology", "--degree", "1",
+                        "--max-dim", "3"], format_edge_list(greene_sphere(4)))
+    assert code == 0
+    assert out.splitlines() == ["H_0 = Z", "H_1 = Z^7", "H_2 = 0"]
+
+
 def test_injective_homology_command(cli):
     graph_text = format_edge_list(greene_sphere(4))
     code, out, _ = cli(["injective-homology", "--dim", "2", "--format",

@@ -39,6 +39,13 @@ def boundary_squared_is_zero(c):
     return True
 
 
+
+def test_cycle_space_rejects_a_negative_degree():
+    # it used to return an echelon with ncols 0 holding rows keyed 0..5,
+    # read off the top boundary
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        cycle_space(build_cw_complex(hypercube_graph(3), 3), -1)
+
 def test_cw_c5_is_a_circle():
     c = build_cw_complex(cycle_graph(5), 2)
     assert [c.dim(n) for n in range(3)] == [5, 5, 0]

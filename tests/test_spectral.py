@@ -292,24 +292,25 @@ class _CountingSource:
 
 
 def test_slice_sources_are_streamed(monkeypatch, sphere4, k23):
-    # each slice source is read by the d o d check and the two passes of
-    # the image builder, or as d_out by the check and the kernel, and is
+    # each slice source is read by the two passes of the image builder, or
+    # as d_out once by the kernel, which also checks d o d = 0, and is
     # never listed
     want = [(page_to_json(e1_page(c, 2)),
              [bottom_edge_group(c, p)[0].invariants() for p in range(3)])
             for c in (sphere4, k23)]
-    real, made = chains._restricted_columns, []
+    real, made = chains.block, []
 
     def counting(*args):
-        made.append(_CountingSource(real(*args)))
-        return made[-1]
+        source, nrows, ncols = real(*args)
+        made.append(_CountingSource(source))
+        return made[-1], nrows, ncols
 
-    monkeypatch.setattr(spectral, "_restricted_columns", counting)
+    monkeypatch.setattr(spectral, "block", counting)
     got = [(page_to_json(e1_page(c, 2)),
             [bottom_edge_group(c, p)[0].invariants() for p in range(3)])
            for c in (sphere4, k23)]
     assert got == want
-    assert made and all(1 <= s.reads <= 3 for s in made)
+    assert made and all(1 <= s.reads <= 2 for s in made)
 
 
 def _peak_mb(run):

@@ -11,6 +11,7 @@ from cubehom.zlinalg import (
     Echelon,
     GF2Echelon,
     GroupMap,
+    apply_columns,
     axpy,
     cokernel_of,
     dense_to_sparse,
@@ -728,6 +729,25 @@ def test_composable_check_catches_one_changed_boundary_entry(gs4):
         subquotient_homology((cols, c.dim(2), c.dim(3)), d_out)
     with pytest.raises(ContractViolation):
         subquotient_presentation((cols, c.dim(2), c.dim(3)), d_out)
+
+
+def test_subquotient_homology_reads_d_in_twice(gs4):
+    # the image builder's two passes; d o d = 0 is checked on its rows
+    c, reads = gs4, []
+
+    def d_in():
+        reads.append(1)
+        return iter(c.columns[3])
+
+    d_out = (c.columns[2], c.dim(1), c.dim(2))
+    group = subquotient_homology((d_in, c.dim(2), c.dim(3)), d_out)
+    assert group.invariants() == (1, ()) and len(reads) == 2
+
+
+def test_apply_columns():
+    cols = [{0: 1, 2: -1}, {}, {1: 3, 2: 1}]
+    assert apply_columns(cols, {0: 2, 2: 2}) == {0: 2, 1: 6}
+    assert apply_columns(cols, {1: 5}) == {}
 
 
 def test_composable_check_lane_width():
