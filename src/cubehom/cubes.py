@@ -21,7 +21,7 @@ subgraphs, the slice streams and the witness search consume it as it goes.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, count, islice, permutations
 from operator import itemgetter
 
 from .budget import checkpoint
@@ -439,19 +439,27 @@ def image_subgraph(corners):
 
 
 def cube_subgraphs(g, n):
-    """All n-cube subgraphs, ordered by canonical parametrization.
+    """All n-cube subgraphs, ordered by canonical parametrization: level n
+    of `subgraph_levels`."""
+    if n < 0:
+        raise ValueError("dimension must be non-negative")
+    return next(islice(subgraph_levels(g), n, None))
 
-    The injective stream holds each subgraph's 2^n * n! parametrizations;
-    exactly one has the canonical shape (corner 0 the least vertex,
-    corners 1, 2, 4, ... increasing), and only that one is kept.
-    """
-    heads = [1 << i for i in range(n)]
-    out = []
-    for corners in singular_cubes(g, n, "injective"):
-        tops = [corners[b] for b in heads]
-        if corners[0] == min(corners) and tops == sorted(tops):
-            out.append(CubeSubgraph(n, *image_subgraph(corners), corners))
-    return out
+
+def subgraph_levels(g):
+    """Yield the lists of n-cube subgraphs for n = 0, 1, ..., in order:
+    a canonical parametrization has a canonical front face along its last
+    coordinate, so level n is the injective extensions of level n-1's reps
+    whose new corners exceed corner 0 and whose corner 2^(n-1) exceeds
+    corner 2^(n-2), and each rep's extensions come out in order."""
+    cells = [CubeSubgraph(0, (v,), (), (v,)) for v in range(g.n)]
+    for n in count(1):
+        yield cells
+        half = 1 << (n - 1)
+        cells = [CubeSubgraph(n, *image_subgraph(c), c)
+                 for q in cells
+                 for c in singular_cubes(g, n, "injective", prefix=q.rep)
+                 if c[half] > c[half >> 1] and min(c[half:]) > c[0]]
 
 
 def cubical_dimension(g):

@@ -12,9 +12,11 @@ parametrization in the top slice homology compares cellular homology
 with the degree-filtration world.
 """
 
+from itertools import islice
+
 from .budget import DimensionBudgetError
 from .chains import block, normalized_complex
-from .cubes import canonical_parametrization, cube_subgraphs, face_getters
+from .cubes import canonical_parametrization, face_getters, subgraph_levels
 from .monophobic import is_quasimonophobic
 from .spectral import _injective_cover, bottom_edge_group, edge_map
 from .zlinalg import (
@@ -65,16 +67,14 @@ def build_cw_complex(g, max_dim):
     The boundary of a cell is the alternating sum of its face cells, each
     weighted by the sign of the automorphism relating the face of the
     cell's canonical parametrization to the face cell's.  The faces of an
-    injective cube are distinct subgraphs, so no face cell repeats.
+    injective cube are distinct subgraphs, so no face cell repeats.  The
+    cells come from one `subgraph_levels` stream, each level walked once.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
-    cells = []
+    cells = list(islice(subgraph_levels(g), max_dim + 1))
     columns = [[]]
-    for n in range(max_dim + 1):
-        cells.append(cube_subgraphs(g, n))
-        if n == 0:
-            continue
+    for n in range(1, max_dim + 1):
         below = {q.rep: i for i, q in enumerate(cells[n - 1])}
         cols = []
         for q in cells[n]:

@@ -9,6 +9,7 @@ that counts supported faces exactly.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -186,3 +187,38 @@ def test_rigid_support_is_the_vertex_set(g):
                 assert supported_face_count(tau, q) == same
                 checked += 1
     assert checked
+
+
+def _petersen():
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(i + 5, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+GROWTH = ([hypercube_graph(4), Graph(4, list(combinations(range(4), 2))),
+           complete_bipartite_graph(3, 3), _petersen(),
+           _relabeled(greene_sphere(4), 18),
+           Graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6)])]
+          + _random_graphs(count=6, seed=18))
+GROWTH_IDS = (["Q4", "K4", "K33", "petersen", "gs4-relabeled", "isolated"]
+              + [f"random{i}" for i in range(6)])
+
+
+@pytest.mark.parametrize("g", GROWTH, ids=GROWTH_IDS)
+def test_cube_subgraphs_are_the_canonical_parametrizations(g):
+    """Growing level by level keeps exactly the distinct canonical
+    parametrizations of the injective stream, in order."""
+    for n in range(5):
+        want = sorted({canonical_parametrization(c)[1]
+                       for c in singular_cubes(g, n, "injective")})
+        cells = cube_subgraphs(g, n)
+        assert [q.rep for q in cells] == want
+        for q in cells:
+            assert q.dim == n
+            assert (q.vertices, q.edges) == image_subgraph(q.rep)

@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+from cubehom import cubes
+from cubehom.budget import BudgetExhausted, time_budget
 from cubehom.chains import dump_complex, normalized_complex
 from cubehom.cubes import (
     MINUS,
@@ -28,6 +30,7 @@ from cubehom.cubes import (
     singular_cubes,
     subcube_getters,
 )
+from cubehom.cwcomplex import build_cw_complex
 from cubehom.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -491,6 +494,43 @@ def test_cube_subgraphs_counts():
     assert len(cube_subgraphs(hypercube_graph(3), 2)) == 6
     assert len(cube_subgraphs(greene_sphere(4), 2)) == 8
     assert len(cube_subgraphs(complete_bipartite_graph(2, 3), 2)) == 3
+
+
+def _spy_walks(monkeypatch):
+    """Record (n, prefix, cubes yielded) for every `singular_cubes` walk."""
+    walks = []
+    orig = cubes.singular_cubes
+
+    def spy(g, n, filt="all", prefix=None):
+        walks.append([n, prefix, 0])
+        for c in orig(g, n, filt, prefix):
+            walks[-1][2] += 1
+            yield c
+
+    monkeypatch.setattr(cubes, "singular_cubes", spy)
+    return walks
+
+
+def test_cube_subgraphs_walk_only_canonical_fronts(monkeypatch):
+    # each n-cube subgraph is met among the 2n cubes whose front face is a
+    # canonical (n-1)-cube: 896 + 2688 + 3360 on Q7, where the injective
+    # stream alone holds 26,880 3-cubes
+    walks = _spy_walks(monkeypatch)
+    assert len(cube_subgraphs(hypercube_graph(7), 3)) == 560
+    assert sum(w[2] for w in walks) <= 7000
+
+
+def test_cw_complex_walks_each_level_once(monkeypatch):
+    walks = _spy_walks(monkeypatch)
+    c = build_cw_complex(hypercube_graph(7), 3)
+    assert [w[:2] for w in walks] == [[n, q.rep] for n in range(1, 4)
+                                      for q in c.cells[n - 1]]
+
+
+def test_cube_subgraphs_stop_on_budget():
+    with time_budget(0):
+        with pytest.raises(BudgetExhausted):
+            cube_subgraphs(hypercube_graph(6), 3)
 
 
 def test_cube_subgraph_reps_are_lex_minimal():
