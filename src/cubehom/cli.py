@@ -37,7 +37,7 @@ from .chains import (
 )
 from .cwcomplex import build_cw_complex, cell_to_degree_class, cw_homology, cw_to_json
 from .graphs import FAMILIES, EdgeListError, format_edge_list, generate, parse_edge_list
-from .monophobic import check_graph
+from .monophobic import check_graph, iter_checks
 from .spectral import (
     e1_page,
     einfinity_report,
@@ -207,12 +207,16 @@ def _witness_doc(w):
 
 def compute_check_mono(g, args, results):
     mode = "quasimonophobic" if args.quasi else "monophobic"
-    report = check_graph(g, args.dim, mode)
-    cubes = [{"vertices": list(c.cube.vertices), "rigid": c.rigid,
-              "passes": c.passes, "witness": _witness_doc(c.witness)}
-             for c in report.checks]
-    results.update(mode=mode, dim=args.dim, overall=report.overall,
-                   cubes=cubes)
+    cubes = []
+    for c in iter_checks(g, args.dim, mode):
+        # a budget stop keeps the verdicts so far, with no overall verdict,
+        # and one before the first verdict keeps no results at all
+        if not cubes:
+            results.update(mode=mode, dim=args.dim, cubes=cubes)
+        cubes.append({"vertices": list(c.cube.vertices), "rigid": c.rigid,
+                      "passes": c.passes, "witness": _witness_doc(c.witness)})
+    results.update(mode=mode, dim=args.dim, cubes=cubes,
+                   overall=all(c["rigid"] and c["passes"] for c in cubes))
     if args.certificate:
         _write(args.certificate,
                json.dumps(results, sort_keys=True, indent=2) + "\n")
@@ -224,8 +228,9 @@ def table_check_mono(results):
         verdict = "ok" if c["rigid"] and c["passes"] else (
             "fails" if c["rigid"] else "not rigid")
         lines.append(f"cube {c['vertices']}: {verdict}")
-    lines.append(f"{results['mode']} at dimension {results['dim']}: "
-                 f"{results['overall']}")
+    if "overall" in results:
+        lines.append(f"{results['mode']} at dimension {results['dim']}: "
+                     f"{results['overall']}")
     return lines
 
 

@@ -325,7 +325,22 @@ def _cube_filter(n, filt):
     raise ValueError(f"unknown filter {filt!r}")
 
 
-def singular_cubes(g, n, filt="all", prefix=None):
+def _avoid_table(avoid, size):
+    """Per corner c, one (get, want, v) per pattern whose largest corner
+    is c: the walk drops v there when get(corners) == want, that is when
+    the pattern's earlier corners all match."""
+    table = [[] for _ in range(size)]
+    for pattern in avoid:
+        if not pattern or not all(0 <= c < size for c in pattern):
+            raise ValueError(f"avoid pattern {pattern!r} must name corners "
+                             f"in 0..{size - 1}")
+        *earlier, last = sorted(pattern)
+        get = itemgetter(*earlier) if earlier else (lambda corners: ())
+        table[last].append((get, get(pattern), pattern[last]))
+    return table
+
+
+def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
     """Yield cubes I^n -> g passing the filter, in lexicographic corner
     order.
 
@@ -338,12 +353,22 @@ def singular_cubes(g, n, filt="all", prefix=None):
     concatenated over all graph vertices reproduce the stream, and the
     corners of an n-cube as prefix give the (n+1)-cubes having it as
     front n-face (the cofaces of the witness search).
+
+    `avoid` is a list of partial cubes, each a nonempty {corner: vertex}
+    mapping, and the stream skips every cube that extends one of them:
+    once a pattern's earlier corners all match, its vertex leaves the
+    candidates of its largest corner, which prunes the whole subtree.  The
+    rest of the stream is unchanged and in the same order.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
+    size = 1 << n
+    if prefix is not None and not 1 <= len(prefix) <= size:
+        raise ValueError(f"a prefix of {n}-cubes has 1..{size} corners, "
+                         f"not {len(prefix)}")
     inject = filt == "injective"
     keep = _cube_filter(n, filt)
-    size = 1 << n
+    ban = _avoid_table(avoid, size) if avoid else None
     closed = g.closed
     # for each corner, the already-assigned neighbors (indices below it)
     lower = [[b ^ (1 << j) for j in range(n) if b & (1 << j)]
@@ -358,6 +383,9 @@ def singular_cubes(g, n, filt="all", prefix=None):
         corners[:k] = root[:k]
         used = set(root[:k])
         if inject and (len(used) < k or root[k] in used):
+            continue
+        if ban and any(root[c] == w and get(root) == want
+                       for c in range(k + 1) for get, want, w in ban[c]):
             continue
         b = k
         stack[k] = iter((root[k],))
@@ -378,6 +406,9 @@ def singular_cubes(g, n, filt="all", prefix=None):
                     cand = cand & closed[corners[cidx]]
                     if not cand:
                         break
+                if ban and ban[b + 1]:
+                    cand = cand - {w for get, want, w in ban[b + 1]
+                                   if get(corners) == want}
                 if inject and cand:
                     used.add(v)
                     cand = cand - used

@@ -16,10 +16,24 @@ only the witness it returns is reindexed, by the coordinate shift that
 makes that face the front 1-face, so emitted witnesses keep that shape.
 
 The front face is Q, so a candidate is a witness iff no other face is
-supported; the search stops at the first that is.  On rigid Q a face is
-supported iff it hits exactly Q's vertices: such a face is injective, and
-its n * 2^(n-1) distinct edges lie in the subgraph Q's vertices induce,
-which is Q.
+supported.  On rigid Q a face is supported iff it hits exactly Q's
+vertices: such a face is injective, and its n * 2^(n-1) distinct edges
+lie in the subgraph Q's vertices induce, which is Q.
+
+Fold lemma: let q be Q's parametrization, the front (n+1)-face of a
+candidate tau, and beta its back (n+1)-face, the corners 2^n + b of tau
+as a function of b.  For i <= n, side face (i, s) of tau is supported iff
+beta(b) = q(b ^ 2^(i-1)) for every corner b of q's (i, s)-face: beta
+folds q across coordinate i on that face.  Proof: the face's front half
+is q's (i, s)-face, so its back half must hit the opposite face's
+2^(n-1) vertices exactly; beta(b) lies in the closed neighbourhood of
+q(b), and q is induced, so the only closed neighbour of q(b) in the
+opposite face is q(b ^ 2^(i-1)).  The 2n folds go to `singular_cubes` as
+`avoid` patterns, which prune every candidate with a supported side
+face and so only non-witnesses: the stream keeps its order and the first
+witness is the same.  The back face needs its own test at each candidate
+left, since it can be supported without a fold: in the 4-cube graph
+with q = (0, 1, 2, 3), beta = (1, 3, 0, 2) is a quarter turn of q.
 """
 
 from .cubes import (
@@ -106,32 +120,33 @@ def check_cube(g, q, mode="quasimonophobic"):
     quasi = _is_quasi(mode)
     if not is_rigid(g, q):
         return False, None
-    size = len(q.rep)
-    verts = set(q.vertices)
-    # every face but the front (n+1)-face, which is q.rep
-    getters = face_getters(q.dim + 1)
-    others = getters[:-2] + getters[-1:]
-    for tau in singular_cubes(g, q.dim + 1, prefix=q.rep):
-        if quasi and is_injective(tau):
-            continue
-        if not any(set(get(tau)) == verts for get in others):
+    rep = q.rep
+    size = len(rep)
+    verts = set(rep)
+    # the folds: back corners that make side face (i, s) supported
+    folds = [{size + b: rep[b ^ bit] for b in range(size) if b & bit == side}
+             for bit in (1 << i for i in range(q.dim)) for side in (0, bit)]
+    for tau in singular_cubes(g, q.dim + 1, prefix=rep, avoid=folds):
+        if set(tau[size:]) != verts and not (quasi and is_injective(tau)):
             return False, tuple(tau[(t & 1) * size + (t >> 1)]
                                 for t in range(2 * size))
     return True, None
 
 
-def check_graph(g, n, mode="quasimonophobic"):
-    """Check every n-cube subgraph; vacuously true when there are none."""
+def iter_checks(g, n, mode="quasimonophobic"):
+    """The verdicts of the n-cube subgraphs, one `CubeCheck` at a time."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
     _is_quasi(mode)  # also when there is no cube to hand it to check_cube
-    checks = []
     for q in cube_subgraphs(g, n):
         # a rigid cube passes or has a witness; a non-rigid one neither
         passes, witness = check_cube(g, q, mode)
-        checks.append(CubeCheck(q, passes or witness is not None, passes,
-                                witness))
-    return MonoReport(g, n, mode, checks)
+        yield CubeCheck(q, passes or witness is not None, passes, witness)
+
+
+def check_graph(g, n, mode="quasimonophobic"):
+    """Check every n-cube subgraph; vacuously true when there are none."""
+    return MonoReport(g, n, mode, list(iter_checks(g, n, mode)))
 
 
 def is_quasimonophobic(g, n):
@@ -145,6 +160,6 @@ def is_monophobic(g, n):
 def validate_witness(g, q, tau, mode):
     """Re-validate an emitted witness independently of the search."""
     validate_cube(g, tau)
-    if mode == "quasimonophobic" and is_injective(tau):
+    if _is_quasi(mode) and is_injective(tau):
         return False
     return supported_face_count(tau, q) == 1

@@ -14,7 +14,12 @@ from cubehom.budget import (
     time_budget,
 )
 from cubehom.cli import main
-from cubehom.graphs import cycle_graph, format_edge_list, greene_sphere
+from cubehom.graphs import (
+    complete_bipartite_graph,
+    cycle_graph,
+    format_edge_list,
+    greene_sphere,
+)
 from cubehom.zlinalg import ContractViolation
 
 
@@ -261,6 +266,36 @@ def test_h2_pipeline_partial_table(cli, monkeypatch):
     assert code == 2
     assert out.splitlines() == ["1-quasimonophobic: True",
                                 "2-quasimonophobic: True",
+                                "status: incomplete"]
+
+
+def test_check_mono_partial_verdicts(cli, monkeypatch, tmp_path):
+    graph_text = format_edge_list(complete_bipartite_graph(2, 3))
+    argv = ["check-mono", "--dim", "2", "--quasi", "--format", "json"]
+    code, out, _ = cli(argv, graph_text)
+    assert code == 0
+    complete = json.loads(out)["results"]
+    real, calls = cubehom.monophobic.check_cube, []
+
+    def stopping(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise BudgetExhausted("soft time budget exhausted")
+        return real(*args)
+
+    monkeypatch.setattr(cubehom.monophobic, "check_cube", stopping)
+    cert = tmp_path / "cert.json"
+    code, out, _ = cli(argv + ["--certificate", str(cert)], graph_text)
+    assert code == 2 and not cert.exists()
+    doc = json.loads(out)
+    assert doc["status"] == "incomplete"
+    assert doc["results"] == {"mode": "quasimonophobic", "dim": 2,
+                              "cubes": complete["cubes"][:2]}
+    calls.clear()
+    code, out, _ = cli(argv[:-2], graph_text)
+    assert code == 2
+    assert out.splitlines() == ["cube [0, 1, 2, 3]: fails",
+                                "cube [0, 1, 2, 4]: fails",
                                 "status: incomplete"]
 
 

@@ -462,6 +462,60 @@ def test_injective_prefix_with_repeated_corner_yields_nothing():
         [c for c in singular_cubes(g, 2) if c[:3] == (0, 1, 1)]
 
 
+def _extends(cube, pattern):
+    return all(cube[c] == v for c, v in pattern.items())
+
+
+@pytest.mark.parametrize("graph,n,filt", [
+    (lambda: hypercube_graph(3), 2, "all"),
+    (lambda: hypercube_graph(3), 2, "injective"),
+    (lambda: cycle_graph(5), 3, "all"),
+    (lambda: cycle_graph(5), 3, "nondegenerate"),
+], ids=["Q3-2-all", "Q3-2-injective", "C5-3-all", "C5-3-nondegenerate"])
+def test_avoid_filters_the_stream_in_order(graph, n, filt):
+    g = graph()
+    size = 1 << n
+    full = list(singular_cubes(g, n, filt))
+    rng = random.Random(19)
+    for _ in range(25):
+        # patterns copied off cubes of the stream, so that they do match
+        avoid = []
+        for _ in range(rng.randint(1, 4)):
+            c = rng.choice(full)
+            corners = rng.sample(range(size), rng.randint(1, 3))
+            avoid.append({b: c[b] for b in corners})
+        want = [c for c in full if not any(_extends(c, p) for p in avoid)]
+        assert len(want) < len(full)
+        assert list(singular_cubes(g, n, filt, avoid=avoid)) == want
+        for prefix in {c[:k] for c in full[::len(full) // 4]
+                       for k in (1, 2, size - 1)}:
+            assert list(singular_cubes(g, n, filt, prefix=prefix,
+                                       avoid=avoid)) == \
+                [c for c in want if c[:len(prefix)] == prefix]
+
+
+def test_avoid_inside_the_prefix():
+    g = hypercube_graph(2)
+    # a pattern that the pinned corners already match empties the stream
+    assert list(singular_cubes(g, 2, prefix=(0, 1), avoid=[{1: 1}])) == []
+    assert list(singular_cubes(g, 2, prefix=(0, 1),
+                               avoid=[{0: 0, 1: 2}])) != []
+    assert list(singular_cubes(g, 2, avoid=[{0: 0}])) == \
+        [c for c in singular_cubes(g, 2) if c[0] != 0]
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"prefix": ()}, "prefix"),
+    ({"prefix": (0, 1, 3, 2, 0)}, "prefix"),
+    ({"avoid": [{}]}, "avoid pattern"),
+    ({"avoid": [{4: 0}]}, "avoid pattern"),
+    ({"avoid": [{0: 0}, {-1: 0}]}, "avoid pattern"),
+])
+def test_bad_prefix_or_avoid_rejected(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        list(singular_cubes(hypercube_graph(2), 2, **kwargs))
+
+
 @pytest.mark.parametrize("name,graph,n", [
     ("K_{2,3}", lambda: complete_bipartite_graph(2, 3), 3),
     ("greene-sphere(4)", lambda: greene_sphere(4), 2),

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from cubehom import monophobic
+from cubehom.budget import BudgetExhausted, time_budget
 from cubehom.cubes import (
     MINUS,
     cube_subgraphs,
@@ -171,6 +174,86 @@ def test_check_cube_witness_matches_oracle(graph, n, mode):
     for q in cube_subgraphs(g, n):
         if is_rigid(g, q):
             assert check_cube(g, q, mode) == _oracle_check(g, q, mode)
+
+
+def _random_graphs(count, seed=1919):
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(3, 8)
+        p = rng.choice((0.25, 0.35, 0.5))
+        yield f"random{i}", Graph(n, [(a, b) for a in range(n)
+                                      for b in range(a + 1, n)
+                                      if rng.random() < p])
+
+
+REFERENCE_GRAPHS = [("K23", complete_bipartite_graph(2, 3)),
+                    ("K34", complete_bipartite_graph(3, 4)),
+                    ("Q4", hypercube_graph(4)), *_random_graphs(60)]
+
+
+@pytest.mark.parametrize("name,g", REFERENCE_GRAPHS,
+                         ids=[name for name, _ in REFERENCE_GRAPHS])
+def test_check_cube_matches_brute_force(name, g):
+    # every coface walked and its supported faces counted: the verdict and
+    # the first witness do not depend on which non-witnesses are pruned
+    for n in range(4):
+        for q in cube_subgraphs(g, n):
+            for mode in ("monophobic", "quasimonophobic"):
+                want = _oracle_check(g, q, mode) if is_rigid(g, q) \
+                    else (False, None)
+                assert check_cube(g, q, mode) == want
+
+
+def test_back_face_is_not_a_fold():
+    # a quarter turn of the square supports the back face of its prism
+    # but folds along no side face, so the back face is tested on its own
+    g = hypercube_graph(4)
+    q = next(q for q in cube_subgraphs(g, 2) if q.rep == (0, 1, 2, 3))
+    tau = q.rep + (1, 3, 0, 2)
+    assert tau in singular_cubes(g, 3, prefix=q.rep)
+    assert supported_face_count(tau, q) == 2
+    assert [f for _, _, f in iter_faces(tau) if set(f) == {0, 1, 2, 3}] == \
+        [q.rep, (1, 3, 0, 2)]
+
+
+def _coface_walks(monkeypatch):
+    walked = []
+    real = monophobic.singular_cubes
+
+    def counting(*args, **kwargs):
+        for tau in real(*args, **kwargs):
+            walked.append(tau)
+            yield tau
+
+    monkeypatch.setattr(monophobic, "singular_cubes", counting)
+    return walked
+
+
+def test_fold_patterns_prune_the_coface_walk(monkeypatch):
+    walked = _coface_walks(monkeypatch)
+    # every square of Q7 passes, so each coface stream runs to its end;
+    # 63,168 cofaces without the fold patterns
+    assert check_graph(hypercube_graph(7), 2).overall
+    assert len(walked) <= 5376
+
+
+def test_budget_stops_the_witness_search():
+    g = hypercube_graph(7)
+    q = cube_subgraphs(g, 2)[0]
+    with time_budget(0):
+        with pytest.raises(BudgetExhausted):
+            check_graph(g, 2)
+        with pytest.raises(BudgetExhausted):
+            check_cube(g, q)
+
+
+def test_validate_witness_rejects_an_unknown_mode():
+    g = complete_bipartite_graph(2, 3)
+    q = cube_subgraphs(g, 2)[0]
+    passes, tau = check_cube(g, q, "monophobic")
+    assert validate_witness(g, q, tau, "monophobic")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        validate_witness(g, q, tau, "bogus")
 
 
 def test_check_cube_k23_witnesses_frozen():
