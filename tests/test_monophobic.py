@@ -216,9 +216,8 @@ def test_back_face_is_not_a_fold():
         [q.rep, (1, 3, 0, 2)]
 
 
-def _coface_walks(monkeypatch):
-    walked = []
-    real = monophobic.singular_cubes
+def test_fold_patterns_prune_the_coface_walk(monkeypatch):
+    walked, real = [], monophobic.singular_cubes
 
     def counting(*args, **kwargs):
         for tau in real(*args, **kwargs):
@@ -226,11 +225,6 @@ def _coface_walks(monkeypatch):
             yield tau
 
     monkeypatch.setattr(monophobic, "singular_cubes", counting)
-    return walked
-
-
-def test_fold_patterns_prune_the_coface_walk(monkeypatch):
-    walked = _coface_walks(monkeypatch)
     # every square of Q7 passes, so each coface stream runs to its end;
     # 63,168 cofaces without the fold patterns
     assert check_graph(hypercube_graph(7), 2).overall
