@@ -6,26 +6,101 @@ realizes the quotient by the degenerate subcomplex.  Each basis cube
 carries its degree (largest injective iterated-face dimension), so the
 filtration subcomplexes and their quotients are basis restrictions.
 
-Boundary matrices are stored as sparse columns ({row: coeff} dicts) and
-handed to `zlinalg` as they are; nothing here densifies them.  Every
-module reads a boundary one way, `block`: the full complex, the filtration
+A complex is stored in flat arrays, built one chunk of cubes at a time:
+each basis is one int array of corners, each boundary a row array, an
+int8 coefficient array and an array of column ends, and each degree list
+an int8 array.  `Packed` hides the format: indexing or iterating it gives
+a corner tuple or a fresh sparse column ({row: coeff} dict), which
+`zlinalg` takes as it is; nothing here densifies them.  Every module
+reads a boundary one way, `block`: the full complex, the filtration
 levels F_k C (`filtered_homology`), the degree slices of `spectral` and
 the CW complex all take the block of d_n on the cubes at chosen positions,
 each column restricted to chosen rows only while it is read.  d o d = 0
 is checked where the homology is taken (`zlinalg.subquotient_homology`).
 """
 
+from array import array
+from collections.abc import Sequence
+from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat
+from operator import sub
+
 from .budget import DimensionBudgetError
 from .cubes import cube_degree, face_getters, singular_cubes
 from .zlinalg import subquotient_homology, subquotient_presentation
 
 
+# items packed per chunk: a chunk of tuples or dicts is alive at a time
+CHUNK = 4096
+
+
+class Packed(Sequence):
+    """A sequence of corner tuples (width 2^n) or of sparse columns (no
+    width) in flat arrays: item i is keys[ends[i]:ends[i + 1]], paired
+    with values[ends[i]:ends[i + 1]] in a column.  Indexing and iterating
+    build a fresh tuple or dict per item; `extend` appends items.  Corners
+    and rows are C ints and coefficients int8: a boundary coefficient of an
+    n-cube is at most 2n in absolute value."""
+
+    __slots__ = ("keys", "values", "ends")
+
+    def __init__(self, width=None, items=()):
+        self.keys = array("i")
+        # fixed-width items need no stored ends, a range indexes like one
+        self.values = None if width else array("b")
+        self.ends = range(0, 1, width) if width else array("q", [0])
+        self.extend(items)
+
+    def extend(self, items):
+        # an array converts a list faster than it extends by an iterator
+        items = iter(items)
+        while chunk := list(islice(items, CHUNK)):
+            self.keys.fromlist(list(chain.from_iterable(chunk)))
+            if self.values is None:
+                self.ends = range(0, len(self.keys) + 1, self.ends.step)
+            else:
+                self.values.fromlist(
+                    list(chain.from_iterable(map(dict.values, chunk))))
+                self.ends.fromlist(list(accumulate(
+                    map(len, chunk), initial=self.ends[-1]))[1:])
+
+    def __len__(self):
+        return len(self.ends) - 1
+
+    def __getitem__(self, i):
+        ends = self.ends
+        if i < 0:
+            i += len(ends) - 1
+            if i < 0:
+                raise IndexError("Packed index out of range")
+        lo, hi = ends[i], ends[i + 1]
+        if self.values is None:
+            return tuple(self.keys[lo:hi])
+        return dict(zip(self.keys[lo:hi], self.values[lo:hi]))
+
+    def select(self, picked, remap):
+        """The columns at the positions `picked`, each restricted to the
+        rows in `remap` and keyed by remap[row]: one dict per column."""
+        keys, values, ends = self.keys, self.values, self.ends
+        return ({remap[r]: v for r, v in zip(keys[ends[i]:ends[i + 1]],
+                                             values[ends[i]:ends[i + 1]])
+                 if r in remap} for i in picked)
+
+    def __iter__(self):
+        # one shared iterator over the flat arrays, cut by the item lengths
+        if self.values is None:
+            return zip(*[iter(self.keys)] * self.ends.step)
+        lengths = map(sub, islice(self.ends, 1, None), self.ends)
+        return map(dict, map(islice, repeat(zip(self.keys, self.values)),
+                             lengths))
+
+
 class BasedComplex:
     """Chain complex with an explicit labeled basis in each degree.
 
-    basis[n]     ordered tuple of corner sequences
-    degrees[n]   cube degree of each basis element
-    columns[n]   sparse boundary columns into degree n-1 (n >= 1)
+    basis[n]     corner tuples, in order (a `Packed`)
+    degrees[n]   cube degree of each basis element (an int8 array)
+    columns[n]   sparse boundary columns into degree n-1 (n >= 1, a `Packed`)
     """
 
     __slots__ = ("max_dim", "basis", "degrees", "columns")
@@ -47,13 +122,20 @@ class BasedComplex:
             raise DimensionBudgetError(n, self.max_dim, what)
 
 
+@lru_cache(maxsize=None)
+def _signed_faces(n):
+    """(getter, sign) per face of an n-cube: face (i, side) sits in slot
+    t = 2(i-1) + side of `face_getters(n)`, with sign (-1)^(i+side)."""
+    return tuple((get, -1 if t & 1 == (t >> 1) & 1 else 1)
+                 for t, get in enumerate(face_getters(n)))
+
+
 def _boundary_column(corners, n, index_below):
     col = {}
-    for t, get in enumerate(face_getters(n)):
+    for get, sign in _signed_faces(n):
         j = index_below.get(get(corners))
         if j is not None:
-            # face (i, side) sits in slot t = 2(i-1) + side; sign (-1)^(i+side)
-            w = col.get(j, 0) + (-1 if t & 1 == (t >> 1) & 1 else 1)
+            w = col.get(j, 0) + sign
             if w:
                 col[j] = w
             else:
@@ -73,12 +155,19 @@ def normalized_complex(g, max_dim):
     degrees = []
     columns = [[]]
     for n in range(max_dim + 1):
-        cubes = tuple(singular_cubes(g, n, "nondegenerate"))
+        cubes, degs, cols = Packed(1 << n), array("b"), Packed()
+        below = {c: i for i, c in enumerate(basis[n - 1])} if n else None
+        stream = singular_cubes(g, n, "nondegenerate")
+        # one chunk of corner tuples and column dicts alive at a time
+        while chunk := list(islice(stream, CHUNK)):
+            cubes.extend(chunk)
+            degs.fromlist(list(map(cube_degree, chunk)))
+            if n:
+                cols.extend(_boundary_column(c, n, below) for c in chunk)
         basis.append(cubes)
-        degrees.append([cube_degree(c) for c in cubes])
-        if n >= 1:
-            below = {c: i for i, c in enumerate(basis[n - 1])}
-            columns.append([_boundary_column(c, n, below) for c in cubes])
+        degrees.append(degs)
+        if n:
+            columns.append(cols)
     return BasedComplex(max_dim, basis, degrees, columns)
 
 
@@ -89,7 +178,9 @@ def block(c, n, cols=None, rows=None):
     position there; None selects every cube, and d_0 is the zero map.  The
     source is one `zlinalg.echelon_from_rows` takes: the stored columns
     when nothing is selected, else a callable that reads them again.  c is
-    a `BasedComplex` or a `cwcomplex.CwCubeComplex`."""
+    a `BasedComplex` or a `cwcomplex.CwCubeComplex`; rows are selected on a
+    `BasedComplex` only, whose packed columns restrict themselves
+    (`Packed.select`)."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     c.require(n, f"the boundary of dimension {n}")
@@ -100,11 +191,10 @@ def block(c, n, cols=None, rows=None):
     picked = range(ncols) if cols is None else cols
     if rows is None:
         source = (stored if cols is None
-                  else lambda: (stored[i] for i in picked))
+                  else lambda: map(stored.__getitem__, picked))
         return source, c.dim(n - 1), ncols
     remap = {old: new for new, old in enumerate(rows)}
-    return (lambda: ({remap[r]: v for r, v in stored[i].items() if r in remap}
-                     for i in picked)), len(rows), ncols
+    return (lambda: stored.select(picked, remap)), len(rows), ncols
 
 
 def _slice_positions(c, n, k):
@@ -121,9 +211,11 @@ def _restrict(c, keep):
     when the selection is closed under faces, and the quotient boundary
     when it is a degree slice.
     """
-    basis = [tuple(c.basis[n][i] for i in sel) for n, sel in enumerate(keep)]
-    degrees = [[c.degrees[n][i] for i in sel] for n, sel in enumerate(keep)]
-    columns = [[]] + [list(block(c, n, keep[n], keep[n - 1])[0]())
+    basis = [Packed(1 << n, map(c.basis[n].__getitem__, sel))
+             for n, sel in enumerate(keep)]
+    degrees = [array("b", map(c.degrees[n].__getitem__, sel))
+               for n, sel in enumerate(keep)]
+    columns = [[]] + [Packed(items=block(c, n, keep[n], keep[n - 1])[0]())
                       for n in range(1, c.max_dim + 1)]
     return BasedComplex(c.max_dim, basis, degrees, columns)
 

@@ -166,6 +166,8 @@ class CubeAutomorphism:
         self.flip = tuple(flip)
         if sorted(self.src) != list(range(len(self.flip))):
             raise ValueError("src must permute 0..n-1, with one flip each")
+        if not set(self.flip) <= {0, 1}:
+            raise ValueError("each flip must be 0 or 1")
 
     @property
     def n(self):
@@ -340,6 +342,17 @@ def _avoid_table(avoid, size):
     return table
 
 
+@lru_cache(maxsize=None)
+def _lower_neighbors(n):
+    """Per corner b > 0 of an n-cube, (first, rest): its cube neighbors
+    below it, the corners already assigned when the walk reaches b."""
+    out = [None]
+    for b in range(1, 1 << n):
+        first, *rest = [b ^ (1 << j) for j in range(n) if b & (1 << j)]
+        out.append((first, tuple(rest)))
+    return tuple(out)
+
+
 def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
     """Yield cubes I^n -> g passing the filter, in lexicographic corner
     order.
@@ -370,9 +383,7 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
     keep = _cube_filter(n, filt)
     ban = _avoid_table(avoid, size) if avoid else None
     closed = g.closed
-    # for each corner, the already-assigned neighbors (indices below it)
-    lower = [[b ^ (1 << j) for j in range(n) if b & (1 << j)]
-             for b in range(size)]
+    lower = _lower_neighbors(n)
     corners = [0] * size
     # stack of candidate iterators, one per corner position
     stack = [None] * size
@@ -400,9 +411,9 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
                     if keep is None or keep(t):
                         yield t
                     continue
-                cons = lower[b + 1]
-                cand = closed[corners[cons[0]]]
-                for cidx in cons[1:]:
+                first, rest = lower[b + 1]
+                cand = closed[corners[first]]
+                for cidx in rest:
                     cand = cand & closed[corners[cidx]]
                     if not cand:
                         break

@@ -35,6 +35,7 @@ whole integer kernel of d_out.
 """
 
 from bisect import bisect_left
+from collections.abc import Sequence
 
 from .budget import checkpoint
 
@@ -292,12 +293,14 @@ def echelon_from_rows(rows, ncols):
     in absolute value; lanes that wide cannot carry into each other, so the
     packed remainder is 0 iff every lane is (`_packed_sum`).
     """
-    if not callable(rows) and not isinstance(rows, (list, tuple)):
+    if not callable(rows) and not isinstance(rows, Sequence):
         rows = list(rows)
     gf2, picked, norm = GF2Echelon(), [], 0
     for r in _read(rows):
         checkpoint()
-        norm = max(norm, sum(map(abs, r.values())))
+        size = sum(map(abs, r.values()))
+        if size > norm:
+            norm = size
         if gf2.add(r):
             picked.append(r)
     ech = Echelon(ncols)
@@ -306,8 +309,12 @@ def echelon_from_rows(rows, ncols):
     table = _certificate(ech, norm) if ech.has_unit_pivots() else {}
     for r in _read(rows):
         checkpoint()
-        if not r.keys() <= table.keys() or _packed_sum(r, table):
-            ech.add(dict(r))
+        try:
+            if not _packed_sum(r, table):
+                continue
+        except KeyError:  # a coordinate outside the table: not certified
+            pass
+        ech.add(dict(r))
     return ech
 
 

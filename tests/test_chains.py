@@ -22,6 +22,8 @@ from cubehom.cubes import (
     face,
     is_degenerate,
     is_injective,
+    iter_faces,
+    singular_cubes,
 )
 from cubehom.graphs import (
     Graph,
@@ -49,6 +51,73 @@ def boundary_vector(c, chain, n):
             else:
                 del out[i]
     return out
+
+
+def _list_route(g, max_dim):
+    """(basis, degrees, columns) as lists of corner tuples, degrees and
+    {row: coeff} dicts, each face entered with sign (-1)^(i+side)."""
+    basis = [list(singular_cubes(g, n, "nondegenerate"))
+             for n in range(max_dim + 1)]
+    columns = [[]]
+    for n in range(1, max_dim + 1):
+        at = positions_of(basis[n - 1])
+        cols = []
+        for q in basis[n]:
+            col = {}
+            for i, side, f in iter_faces(q):
+                if f in at:
+                    col[at[f]] = col.get(at[f], 0) + (-1) ** (i + side)
+            cols.append({j: v for j, v in col.items() if v})
+        columns.append(cols)
+    return basis, [[cube_degree(q) for q in b] for b in basis], columns
+
+
+def positions_of(cubes):
+    return {q: i for i, q in enumerate(cubes)}
+
+
+@pytest.mark.parametrize("g", [Graph(0), Graph(3), Graph(2, [(0, 1)]),
+                               cycle_graph(5), complete_bipartite_graph(2, 3)],
+                         ids=["empty", "edgeless", "k2", "c5", "k23"])
+def test_packed_store_round_trip(g):
+    # the flat arrays give back what the list route builds: by length, by
+    # index (negative ones too) and by iteration
+    c = normalized_complex(g, 3)
+    basis, degrees, columns = _list_route(g, 3)
+    for n in range(4):
+        stored = [(c.basis[n], basis[n]), (c.degrees[n], degrees[n])]
+        if n:
+            stored.append((c.columns[n], columns[n]))
+        for got, want in stored:
+            assert len(got) == len(want)
+            assert list(got) == want
+            assert [got[i] for i in range(len(want))] == want
+            assert [got[i] for i in range(-len(want), 0)] == want
+            for i in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    got[i]
+    if g.n == 2:
+        # a 3-cube of the edge with two equal faces of one sign
+        assert {-2} <= {v for col in c.columns[3] for v in col.values()}
+    # every read is a fresh dict: changing one leaves the store as it was
+    if c.dim(1):
+        c.columns[1][0].clear()
+        assert c.columns[1][0] == columns[1][0]
+
+
+def test_stored_complex_is_packed():
+    # greene-sphere(6) through dimension 3 held 15.9 MiB as one tuple and
+    # one dict per cube
+    g = greene_sphere(6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        c = normalized_complex(g, 3)
+        held = (tracemalloc.get_traced_memory()[0] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert c.dim(3) == 41160
+    assert held <= 4
 
 
 def test_single_vertex_basis_sizes():

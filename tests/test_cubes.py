@@ -363,6 +363,8 @@ def test_group_order():
 @pytest.mark.parametrize("src, flip", [
     ([0, 1], [1]),      # one flip short: corner_map would index past it
     ([0, 0], [0, 0]),   # not a permutation, so no automorphism at all
+    ([0, 1], [2, 0]),   # a flip is 0 or 1: corner_map read 2 as a flip
+    ([0, 1], [0, -1]),
 ])
 def test_automorphism_rejects_malformed_input(src, flip):
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Sequence
 
 import pytest
 
@@ -598,6 +599,32 @@ def _callable(rows):
         assert len(reads) <= 2, "the builder read its source a third time"
         return iter(rows)
     return source
+
+
+class _Reads(Sequence):
+    """A sequence over `rows` that counts its reads and refuses a list."""
+
+    def __init__(self, rows):
+        self.rows, self.reads = rows, 0
+
+    def __len__(self):
+        raise AssertionError("the builder listed a sequence")
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.rows)
+
+
+def test_echelon_from_rows_rereads_any_sequence():
+    # a sequence other than a list or tuple (a packed boundary) is read
+    # again, not listed
+    rows = _Reads([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}])
+    got = echelon_from_rows(rows, 3)
+    assert rows.reads == 2
+    assert got.rank == 2 and got.contains({0: 1, 2: -1})
 
 
 def _exact_adds(monkeypatch):
