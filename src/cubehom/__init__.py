@@ -18,9 +18,7 @@ from .chains import (
     normalized_complex,
 )
 from .cubes import (
-    CubeAutomorphism,
     CubeSubgraph,
-    apply_automorphism,
     cube_degree,
     cube_subgraphs,
     cubical_dimension,
@@ -28,7 +26,6 @@ from .cubes import (
     is_degenerate,
     is_graph_map,
     is_injective,
-    relating_automorphism,
     singular_cubes,
 )
 from .cwcomplex import (

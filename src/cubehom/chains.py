@@ -26,7 +26,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import sub
 
 from .budget import DimensionBudgetError
-from .cubes import cube_degree, face_getters, singular_cubes
+from .cubes import cube_degree, cube_dim, face_getters, singular_cubes
 from .zlinalg import subquotient_homology, subquotient_presentation
 
 
@@ -276,7 +276,7 @@ def flip_prism(corners, i):
     its boundary is (-1)^i (sigma + sigma o T_i) up to faces of lower
     degree, which the tests verify by expansion.
     """
-    n = (len(corners) - 1).bit_length()
+    n = cube_dim(corners)
     if not 1 <= i <= n:
         raise ValueError(f"coordinate {i} out of range 1..{n}")
     low_mask = (1 << (i - 1)) - 1

@@ -6,8 +6,8 @@ the entry at index b is the image of the cube corner whose bitmask is b
 enumeration loops tight; `validate_cube` checks the graph-map condition
 when structure matters.
 
-Coordinates are 1-based in the public face/automorphism operations,
-matching the usual f_i^-/f_i^+ notation.
+Coordinates are 1-based in the public face operations, matching the usual
+f_i^-/f_i^+ notation.
 
 Faces and subcubes are read through per-dimension tables built once per
 n: `face_getters(n)` and `subcube_getters(n)` hold one corner-index getter
@@ -21,7 +21,7 @@ subgraphs, the slice streams and the witness search consume it as it goes.
 """
 
 from functools import lru_cache
-from itertools import combinations, count, islice, permutations
+from itertools import combinations, count, islice
 from operator import itemgetter
 
 from .budget import checkpoint
@@ -84,6 +84,8 @@ def face(corners, i, side):
     n = cube_dim(corners)
     if not 1 <= i <= n:
         raise ValueError(f"face index {i} out of range 1..{n}")
+    if side not in (MINUS, PLUS):
+        raise ValueError(f"face side {side!r} is neither MINUS nor PLUS")
     return face_getters(n)[2 * (i - 1) + side](corners)
 
 
@@ -148,160 +150,24 @@ def cube_degree(corners):
     return 1
 
 
-# ---------------------------------------------------------------------------
-# cube automorphisms (signed coordinate permutations)
-# ---------------------------------------------------------------------------
-
-class CubeAutomorphism:
-    """Element of the n-cube symmetry group: a signed permutation.
-
-    Output coordinate j (0-based) reads source coordinate src[j], flipped
-    when flip[j] is set: g(t)_j = t_{src[j]} xor flip[j].
-    """
-
-    __slots__ = ("src", "flip")
-
-    def __init__(self, src, flip):
-        self.src = tuple(src)
-        self.flip = tuple(flip)
-        if sorted(self.src) != list(range(len(self.flip))):
-            raise ValueError("src must permute 0..n-1, with one flip each")
-        if not set(self.flip) <= {0, 1}:
-            raise ValueError("each flip must be 0 or 1")
-
-    @property
-    def n(self):
-        return len(self.src)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(range(n), (0,) * n)
-
-    @classmethod
-    def reflection(cls, n, i):
-        """T_i: reflect coordinate i (1-based)."""
-        return cls(range(n), tuple(int(j == i - 1) for j in range(n)))
-
-    @classmethod
-    def swap(cls, n, i, j):
-        """T_{i,j}: exchange coordinates i and j (1-based)."""
-        src = list(range(n))
-        src[i - 1], src[j - 1] = src[j - 1], src[i - 1]
-        return cls(src, (0,) * n)
-
-    def corner_map(self):
-        """The induced bitmask permutation t -> g(t)."""
-        n = self.n
-        out = []
-        for t in range(1 << n):
-            m = 0
-            for j in range(n):
-                if ((t >> self.src[j]) & 1) ^ self.flip[j]:
-                    m |= 1 << j
-            out.append(m)
-        return out
-
-    def compose(self, other):
-        """self o other: first apply other, then self."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        src = [other.src[self.src[j]] for j in range(self.n)]
-        flip = [other.flip[self.src[j]] ^ self.flip[j] for j in range(self.n)]
-        return CubeAutomorphism(src, flip)
-
-    def inverse(self):
-        src = [0] * self.n
-        flip = [0] * self.n
-        for j, s in enumerate(self.src):
-            src[s] = j
-            flip[s] = self.flip[j]
-        return CubeAutomorphism(src, flip)
-
-    @property
-    def sign(self):
-        """Determinant of the signed permutation matrix."""
-        sgn = 1
-        seen = [False] * self.n
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.src[j]
-                length += 1
-            if length % 2 == 0:
-                sgn = -sgn
-        for f in self.flip:
-            if f:
-                sgn = -sgn
-        return sgn
-
-    def __eq__(self, other):
-        return (isinstance(other, CubeAutomorphism)
-                and self.src == other.src and self.flip == other.flip)
-
-    def __hash__(self):
-        return hash((self.src, self.flip))
-
-    def __repr__(self):
-        return f"CubeAutomorphism(src={self.src}, flip={self.flip})"
-
-
-def all_automorphisms(n):
-    """The full symmetry group of I^n: all n! * 2^n signed permutations."""
-    out = []
-    for perm in permutations(range(n)):
-        for mask in range(1 << n):
-            flip = tuple((mask >> j) & 1 for j in range(n))
-            out.append(CubeAutomorphism(perm, flip))
-    return out
-
-
-def apply_automorphism(corners, aut):
-    """The composite sigma o g."""
-    n = cube_dim(corners)
-    if aut.n != n:
-        raise ValueError("dimension mismatch")
-    cmap = aut.corner_map()
-    return tuple(corners[cmap[t]] for t in range(len(corners)))
-
-
 def canonical_parametrization(corners):
-    """(g, sigma o g) for an injective cube sigma: sigma o g is the
+    """(sign, sigma o g) for an injective cube sigma: sigma o g is the
     canonical parametrization of sigma's image, with corner 0 the least
-    vertex and corners 1, 2, 4, ... increasing.  It is the least one, as
-    the signed permutations act simply transitively on parametrizations.
-    `src` inverts the sort order of the least corner's neighbours."""
+    vertex and corners 1, 2, 4, ... increasing, and sign is the
+    determinant of the signed permutation g of I^n.  It is the least
+    parametrization, as the signed permutations act simply transitively
+    on parametrizations.  g reflects the coordinates set in the least
+    corner `base` and reorders the coordinates by the sort order of base's
+    neighbours, so det g = (-1)^(inversions of that order + popcount(base)).
+    """
     n = cube_dim(corners)
     base = corners.index(min(corners))
-    src = [0] * n
+    order = sorted(range(n), key=lambda j: corners[base ^ (1 << j)])
     idx = [base]  # sigma's corner index of each canonical corner
-    for i, j in enumerate(sorted(range(n),
-                                 key=lambda j: corners[base ^ (1 << j)])):
-        src[j] = i
+    for j in order:
         idx += [b ^ (1 << j) for b in idx]
-    aut = CubeAutomorphism(src, ((base >> j) & 1 for j in range(n)))
-    return aut, tuple(corners[b] for b in idx)
-
-
-def relating_automorphism(sigma, gamma):
-    """The unique signed permutation g with gamma = sigma o g, plus its sign.
-
-    Both cubes must be injective, of equal dimension, and parametrize the
-    same cube subgraph, which is when their canonical forms agree.
-    """
-    if cube_dim(gamma) != cube_dim(sigma):
-        raise ValueError("dimension mismatch")
-    if not is_injective(sigma) or not is_injective(gamma):
-        raise ValueError("relating automorphism requires injective cubes")
-    a, canon = canonical_parametrization(sigma)
-    b, other = canonical_parametrization(gamma)
-    if canon != other:
-        raise ValueError("cubes have different images")
-    aut = a.compose(b.inverse())
-    return aut, aut.sign
+    odd = sum(a > b for a, b in combinations(order, 2)) + base.bit_count()
+    return -1 if odd & 1 else 1, tuple(corners[b] for b in idx)
 
 
 # ---------------------------------------------------------------------------

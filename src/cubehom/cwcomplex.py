@@ -3,9 +3,9 @@
 One n-cell per cube subgraph (all cube subgraphs, induced or not), keyed
 by its canonical parametrization, which also fixes its orientation.  Each
 face of a cell's parametrization is injective, so
-`canonical_parametrization` names the face's cell and the signed
-permutation carrying the face onto it; the determinant of that
-permutation is the incidence sign.
+`canonical_parametrization` names the face's cell and gives the
+incidence sign: the determinant of the signed permutation carrying the
+face onto the cell's parametrization.
 
 The chain map sending a cell to the class of its canonical
 parametrization in the top slice homology compares cellular homology
@@ -25,7 +25,6 @@ from .zlinalg import (
     GroupMap,
     apply_columns,
     axpy,
-    dense_to_sparse,
     echelon_from_rows,
     image_lattice,
     is_surjective,
@@ -65,10 +64,11 @@ def build_cw_complex(g, max_dim):
     """Cells in every dimension up to max_dim with oriented boundaries.
 
     The boundary of a cell is the alternating sum of its face cells, each
-    weighted by the sign of the automorphism relating the face of the
-    cell's canonical parametrization to the face cell's.  The faces of an
-    injective cube are distinct subgraphs, so no face cell repeats.  The
-    cells come from one `subgraph_levels` stream, each level walked once.
+    weighted by the determinant of the signed permutation relating the
+    face of the cell's canonical parametrization to the face cell's.  The
+    faces of an injective cube are distinct subgraphs, so no face cell
+    repeats.  The cells come from one `subgraph_levels` stream, each level
+    walked once.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
@@ -80,10 +80,10 @@ def build_cw_complex(g, max_dim):
         for q in cells[n]:
             col = {}
             for t, get in enumerate(face_getters(n)):
-                aut, rep = canonical_parametrization(get(q.rep))
+                det, rep = canonical_parametrization(get(q.rep))
                 # face (i, side) sits in slot t = 2(i-1) + side
                 sgn = -1 if t & 1 == (t >> 1) & 1 else 1
-                col[below[rep]] = sgn * aut.sign
+                col[below[rep]] = sgn * det
             cols.append(col)
         columns.append(cols)
     return CwCubeComplex(max_dim, cells, columns)
@@ -203,27 +203,26 @@ def geometric_class_check(g, cycle, n):
     """Evaluate a cellular n-cycle in cellular homology and push it to the
     injective-homology class.
 
-    `cycle` is a coefficient vector over the n-cells.  Without
+    `cycle` is a sparse {cell: coeff} vector over the n-cells.  Without
     n-quasimonophobicity the push-forward is still computed but the
     result flags that injectivity of the comparison is not guaranteed.
     """
     cw = build_cw_complex(g, n + 1)
     chain_complex = normalized_complex(g, n + 1)
-    vec = dense_to_sparse(cycle) if not isinstance(cycle, dict) else dict(cycle)
-    if apply_columns(block(cw, n)[0], vec):
+    if apply_columns(block(cw, n)[0], cycle):
         raise ValueError("the given chain is not a cellular cycle")
 
     quasi = is_quasimonophobic(g, n)
 
     # nonzero in cellular homology: outside the boundary lattice
     boundaries = echelon_from_rows(*block(cw, n + 1)[:2])
-    cw_nonzero = not boundaries.contains(vec)
+    cw_nonzero = not boundaries.contains(cycle)
 
     # push to the slice group and test against boundaries-from-above plus
     # slice relations (the denominator of the injective homology at n)
     here = bottom_edge_group(chain_complex, n)
     cols = _rep_columns(cw.cells[n], here[1])
-    img = apply_columns(cols, vec)
+    img = apply_columns(cols, cycle)
     denom = image_lattice(_injective_cover(chain_complex, n, here))
     inj_nonzero = not denom.contains(img)
     return GeometricClassResult(cw_nonzero, inj_nonzero, quasi)

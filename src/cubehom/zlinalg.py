@@ -10,7 +10,7 @@ an exact computation should see first; no answer is read off it.
 Vectors over a fixed ambient Z^n are sparse {index: coeff} dicts (zero
 coefficients never stored), and a matrix is a list of them, by rows or by
 columns, or a source: a zero-argument callable that returns a fresh
-iterator of them (`_read`); dense lists are accepted only as input vectors.
+iterator of them.
 Lattices are held as `Echelon` objects: row bases sorted by strictly
 increasing pivot column.
 
@@ -235,10 +235,6 @@ class GF2Echelon:
         return True
 
 
-def dense_to_sparse(vec):
-    return {i: v for i, v in enumerate(vec) if v}
-
-
 def gf2_pick(rows, gf2, rank=None):
     """Split the iterator `rows` of sparse vectors, in one pass, into the
     ones that raise the rank of `gf2` modulo 2 and the rest: returns
@@ -262,17 +258,10 @@ def replay(ech, rows):
         ech.add(dict(r))
 
 
-def _read(rows):
-    """A fresh iterator of sparse rows over `rows`: a source is called,
-    anything else iterated, and dense rows are made sparse."""
-    return (r if isinstance(r, dict) else dense_to_sparse(r)
-            for r in (rows() if callable(rows) else rows))
-
-
 def echelon_from_rows(rows, ncols):
-    """Echelonize rows (dense lists or sparse dicts, which are not
-    modified) given as a sequence or as a source that yields the same rows
-    on every call; a one-shot iterator is listed once.
+    """Echelonize sparse rows, which are not modified, given as a sequence
+    or as a source that yields the same rows on every call; a one-shot
+    iterator is listed once.
 
     Most rows of a boundary matrix add nothing to the lattice of the rows
     before them, so they are not all added exactly.  Pass 1 holds only the
@@ -296,7 +285,7 @@ def echelon_from_rows(rows, ncols):
     if not callable(rows) and not isinstance(rows, Sequence):
         rows = list(rows)
     gf2, picked, norm = GF2Echelon(), [], 0
-    for r in _read(rows):
+    for r in rows() if callable(rows) else rows:
         checkpoint()
         size = sum(map(abs, r.values()))
         if size > norm:
@@ -307,7 +296,7 @@ def echelon_from_rows(rows, ncols):
     replay(ech, picked)
     del gf2, picked  # pass 2 holds nothing of pass 1
     table = _certificate(ech, norm) if ech.has_unit_pivots() else {}
-    for r in _read(rows):
+    for r in rows() if callable(rows) else rows:
         checkpoint()
         try:
             if not _packed_sum(r, table):
@@ -404,8 +393,9 @@ def split_echelon(columns, top, bottom):
 def kernel_echelon(columns, nrows, ncols):
     """Kernel lattice {x : M x = 0} of the matrix with the given sparse
     columns (`ncols` of them, entries indexed below `nrows`), read once."""
-    _, ker = split_echelon(((col, {j: 1}) for j, col in
-                            enumerate(_read(columns))), nrows, ncols)
+    cols = columns() if callable(columns) else columns
+    _, ker = split_echelon(((col, {j: 1}) for j, col in enumerate(cols)),
+                           nrows, ncols)
     return ker
 
 
@@ -619,9 +609,7 @@ class GroupMap:
         return True
 
     def apply(self, vec):
-        """Image of an element (sparse or dense coefficient vector)."""
-        if not isinstance(vec, dict):
-            vec = dense_to_sparse(vec)
+        """Image of an element, a sparse coefficient vector."""
         return apply_columns(self.columns, vec)
 
     @classmethod
@@ -682,7 +670,7 @@ def homology_at(f_in, f_out):
 
 def quotient_group(ambient_rank, relations):
     """Z^ambient_rank modulo the span of `relations` (an Echelon, or an
-    iterable of dense or sparse rows)."""
+    iterable of sparse rows)."""
     return AbelianGroup(ambient_rank, relations)
 
 
@@ -702,7 +690,7 @@ def subquotient_homology(d_in, d_out):
     in_cols, mid, _ = d_in
     out_cols, out_rows, _ = d_out
     img = echelon_from_rows(in_cols, mid)
-    out = list(_read(out_cols))
+    out = list(out_cols() if callable(out_cols) else out_cols)
     if any(apply_columns(out, row) for row in img.rows):
         raise ContractViolation("boundary of a boundary is nonzero")
     out_rank = echelon_from_rows(out, out_rows).rank

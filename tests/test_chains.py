@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from cube_group import act, reflection
 from cubehom.budget import DimensionBudgetError
 from cubehom.chains import (
     degree_quotient_complex,
@@ -16,8 +17,6 @@ from cubehom.chains import (
 from cubehom.cubes import (
     MINUS,
     PLUS,
-    CubeAutomorphism,
-    apply_automorphism,
     cube_degree,
     face,
     is_degenerate,
@@ -32,7 +31,6 @@ from cubehom.graphs import (
     greene_sphere,
     hypercube_graph,
 )
-from cubehom.zlinalg import dense_to_sparse, echelon_from_rows
 
 
 def positions(c, n):
@@ -289,8 +287,13 @@ def test_flip_prism_edge():
     assert face(rho, 1, MINUS) == (7, 9)
     assert face(rho, 1, PLUS) == (7, 7)
     assert is_degenerate(face(rho, 2, MINUS))
-    t1 = CubeAutomorphism.reflection(1, 1)
-    assert face(rho, 2, PLUS) == apply_automorphism((7, 9), t1)
+    assert face(rho, 2, PLUS) == act((7, 9), *reflection(1, 1))
+
+
+def test_flip_prism_rejects_a_malformed_cube():
+    for corners in ((), (7, 9, 8)):
+        with pytest.raises(ValueError):
+            flip_prism(corners, 1)
 
 
 def test_flip_prism_identity_in_top_quotient():
@@ -310,7 +313,7 @@ def test_flip_prism_identity_in_top_quotient():
             assert cube_degree(rho) == 2
             j = at3[rho]
             col = dict(q.columns[3][j])
-            flipped = apply_automorphism(sq, CubeAutomorphism.reflection(2, i))
+            flipped = act(sq, *reflection(2, i))
             sign = (-1) ** i
             expect = {at2[sq]: sign, at2[flipped]: sign}
             assert col == expect

@@ -13,11 +13,9 @@ from itertools import combinations
 
 import pytest
 
+from cube_group import act, corner_map, det, signed_permutations
 from cubehom.cubes import (
-    CubeAutomorphism,
     CubeSubgraph,
-    all_automorphisms,
-    apply_automorphism,
     canonical_parametrization,
     cube_subgraphs,
     face_getters,
@@ -77,9 +75,9 @@ def _relating_sign(sigma, gamma):
     src = [None] * n
     for i in range(n):
         src[(cmap[1 << i] ^ base).bit_length() - 1] = i
-    aut = CubeAutomorphism(src, tuple((base >> j) & 1 for j in range(n)))
-    assert apply_automorphism(sigma, aut) == tuple(gamma)
-    return aut.sign
+    flip = tuple((base >> j) & 1 for j in range(n))
+    assert act(sigma, src, flip) == tuple(gamma)
+    return det(src, flip)
 
 
 def _edge_keyed_complex(g, max_dim):
@@ -156,14 +154,17 @@ HELPER_GRAPHS = [hypercube_graph(4), greene_sphere(4),
 @pytest.mark.parametrize("g", HELPER_GRAPHS,
                          ids=["Q4", "gs4", "K23", "K34", "C4"])
 def test_canonical_parametrization_is_the_least(g):
-    for n in range(4):
-        auts = all_automorphisms(n)
+    """The least parametrization, with the determinant of the unique
+    signed permutation that carries the cube onto it."""
+    for n in range(5):
+        group = [(a, corner_map(*a)) for a in signed_permutations(n)]
         canonical = []
         for c in singular_cubes(g, n, "injective"):
-            aut, canon = canonical_parametrization(c)
-            assert canon == min(apply_automorphism(c, a) for a in auts)
-            assert apply_automorphism(c, aut) == canon
-            if canon == c:
+            params = {tuple(c[m] for m in cmap): a for a, cmap in group}
+            assert len(params) == len(group)
+            least = min(params)
+            assert canonical_parametrization(c) == (det(*params[least]), least)
+            if least == c:
                 canonical.append(c)
         # the shape test of cube_subgraphs keeps exactly the canonical cubes
         assert [q.rep for q in cube_subgraphs(g, n)] == canonical

@@ -5,18 +5,17 @@ from math import comb
 
 import pytest
 
+from cube_group import act, det, reflection, signed_permutations
 from cubehom import cubes
 from cubehom.budget import BudgetExhausted, time_budget
 from cubehom.chains import dump_complex, normalized_complex
 from cubehom.cubes import (
     MINUS,
     PLUS,
-    CubeAutomorphism,
     _cube_filter,
-    all_automorphisms,
-    apply_automorphism,
     cube_degree,
     cube_dim,
+    canonical_parametrization,
     cube_subgraphs,
     cubical_dimension,
     face,
@@ -26,7 +25,6 @@ from cubehom.cubes import (
     is_graph_map,
     is_injective,
     iter_faces,
-    relating_automorphism,
     singular_cubes,
     subcube_getters,
 )
@@ -64,6 +62,11 @@ def test_face_of_edge_is_endpoint():
 def test_face_out_of_range():
     with pytest.raises(ValueError):
         face((0, 1), 2, MINUS)
+    # slot 2(i-1) + side would read face (2, -) and face (2, +) here
+    sq = (0, 1, 2, 3)
+    for side in (2, -1):
+        with pytest.raises(ValueError):
+            face(sq, 1, side)
 
 
 def test_face_table_matches_index_formula():
@@ -322,92 +325,50 @@ def test_degree_monotone_under_faces():
 
 
 # ---------------------------------------------------------------------------
-# automorphisms
+# signed permutations and the sign of the canonical parametrization
 # ---------------------------------------------------------------------------
+
+def _relative_sign(sigma, gamma):
+    """Sign of the signed permutation g with gamma = sigma o g."""
+    return (canonical_parametrization(sigma)[0]
+            * canonical_parametrization(gamma)[0])
+
 
 def test_identity_and_reflection():
     sq = (0, 1, 2, 3)
-    assert apply_automorphism(sq, CubeAutomorphism.identity(2)) == sq
-    t1 = CubeAutomorphism.reflection(2, 1)
-    assert apply_automorphism((5, 9), CubeAutomorphism.reflection(1, 1)) == (9, 5)
-    assert t1.sign == -1
+    assert act(sq, (0, 1), (0, 0)) == sq
+    assert act((5, 9), *reflection(1, 1)) == (9, 5)
+    assert det(*reflection(2, 1)) == -1
+    assert canonical_parametrization((9, 5)) == (-1, (5, 9))
 
 
 def test_swap_on_square():
     # T_{1,2} exchanges the two off-diagonal corners
     sq = (0, 1, 2, 3)
-    t12 = CubeAutomorphism.swap(2, 1, 2)
-    assert apply_automorphism(sq, t12) == (0, 2, 1, 3)
-    assert t12.sign == -1
-
-
-def test_composition_law():
-    rng = random.Random(1)
-    sigma = tuple(range(8))
-    auts = all_automorphisms(3)
-    for _ in range(60):
-        g1 = rng.choice(auts)
-        g2 = rng.choice(auts)
-        lhs = apply_automorphism(apply_automorphism(sigma, g1), g2)
-        rhs = apply_automorphism(sigma, g1.compose(g2))
-        assert lhs == rhs
-        assert g1.compose(g2).sign == g1.sign * g2.sign
-        inv = g1.inverse()
-        assert g1.compose(inv) == CubeAutomorphism.identity(3)
-
-
-def test_group_order():
-    assert len(set(all_automorphisms(3))) == 48  # 2^3 * 3!
-
-
-@pytest.mark.parametrize("src, flip", [
-    ([0, 1], [1]),      # one flip short: corner_map would index past it
-    ([0, 0], [0, 0]),   # not a permutation, so no automorphism at all
-    ([0, 1], [2, 0]),   # a flip is 0 or 1: corner_map read 2 as a flip
-    ([0, 1], [0, -1]),
-])
-def test_automorphism_rejects_malformed_input(src, flip):
-    with pytest.raises(ValueError):
-        CubeAutomorphism(src, flip)
+    t12 = ((1, 0), (0, 0))
+    assert act(sq, *t12) == (0, 2, 1, 3)
+    assert det(*t12) == -1
+    assert canonical_parametrization((0, 2, 1, 3)) == (-1, sq)
 
 
 def test_relating_automorphism_basics():
     sigma = (10, 11, 12, 13)
-    aut, sign = relating_automorphism(sigma, sigma)
-    assert aut == CubeAutomorphism.identity(2) and sign == 1
-
-    t1 = CubeAutomorphism.reflection(2, 1)
-    gamma = apply_automorphism(sigma, t1)
-    aut, sign = relating_automorphism(sigma, gamma)
-    assert sign == -1 and apply_automorphism(sigma, aut) == gamma
-
+    assert _relative_sign(sigma, sigma) == 1
+    assert _relative_sign(sigma, act(sigma, *reflection(2, 1))) == -1
     # quarter turn = swap then flip: determinant +1
-    r12 = CubeAutomorphism.swap(2, 1, 2).compose(CubeAutomorphism.reflection(2, 2))
-    gamma = apply_automorphism(sigma, r12)
-    _, sign = relating_automorphism(sigma, gamma)
-    assert sign == 1
+    assert _relative_sign(sigma, act(sigma, (1, 0), (1, 0))) == 1
 
 
 def test_relating_automorphism_sign_multiplicative():
     rng = random.Random(2)
     sigma = (3, 1, 4, 5, 9, 2, 6, 8)
-    auts = all_automorphisms(3)
+    group = signed_permutations(3)
     for _ in range(40):
-        gamma = apply_automorphism(sigma, rng.choice(auts))
-        tau = apply_automorphism(sigma, rng.choice(auts))
-        s1 = relating_automorphism(sigma, gamma)[1]
-        s2 = relating_automorphism(gamma, tau)[1]
-        s3 = relating_automorphism(sigma, tau)[1]
-        assert s1 * s2 == s3
-
-
-def test_relating_automorphism_errors():
-    with pytest.raises(ValueError):
-        relating_automorphism((0, 1, 2, 3), (0, 1, 2, 9))  # different image
-    with pytest.raises(ValueError):
-        relating_automorphism((0, 0), (0, 0))  # noninjective
-    with pytest.raises(ValueError):
-        relating_automorphism((0, 1), (0, 1, 2, 3))  # dimension mismatch
+        a, b = rng.choice(group), rng.choice(group)
+        gamma, tau = act(sigma, *a), act(sigma, *b)
+        assert _relative_sign(sigma, gamma) == det(*a)
+        assert _relative_sign(sigma, tau) == det(*b)
+        assert _relative_sign(gamma, tau) == det(*a) * det(*b)
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +554,7 @@ def test_cube_subgraph_reps_are_lex_minimal():
     for q in cube_subgraphs(greene_sphere(4), 2):
         img = image_subgraph(q.rep)
         assert img == (q.vertices, q.edges)
-        auts = all_automorphisms(2)
-        params = [apply_automorphism(q.rep, a) for a in auts]
+        params = [act(q.rep, *a) for a in signed_permutations(2)]
         assert q.rep == min(params)
 
 

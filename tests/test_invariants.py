@@ -12,7 +12,8 @@ from cubehom.cwcomplex import build_cw_complex, cw_homology, cw_to_json
 from cubehom.graphs import Graph, cycle_graph, greene_sphere, hypercube_graph
 from cubehom.monophobic import is_quasimonophobic
 from cubehom.spectral import injective_homology
-from cubehom.zlinalg import dense_to_sparse, echelon_from_rows, split_echelon
+from cubehom.zlinalg import echelon_from_rows, split_echelon
+from test_zlinalg import sparse
 
 
 def test_face_relation_dimension_four():
@@ -38,10 +39,11 @@ def test_lattice_ops_against_box_enumeration():
         def rand_lat():
             k = rng.randint(1, 2)
             return echelon_from_rows(
-                [[rng.randint(-3, 3) for _ in range(2)] for _ in range(k)], 2)
+                [sparse([rng.randint(-3, 3) for _ in range(2)])
+                 for _ in range(k)], 2)
 
         def member(lat, v):
-            return lat.contains(dense_to_sparse(v))
+            return lat.contains(sparse(v))
 
         a, b = rand_lat(), rand_lat()
         # the sum is echelonized from both bases; the intersection is the

@@ -4,6 +4,7 @@ vertices and dimension 3; every check is exact."""
 
 import pytest
 
+from cube_group import act, reflection
 from cubehom.chains import (
     degree_quotient_complex,
     flip_prism,
@@ -12,19 +13,18 @@ from cubehom.chains import (
 from cubehom.cubes import (
     MINUS,
     PLUS,
-    CubeAutomorphism,
-    apply_automorphism,
+    canonical_parametrization,
     cube_degree,
     face,
     image_subgraph,
     is_degenerate,
     is_injective,
-    relating_automorphism,
     singular_cubes,
 )
 from cubehom.graphs import Graph, is_triangle_free
 from cubehom.monophobic import check_graph, is_monophobic, is_quasimonophobic
-from cubehom.zlinalg import Echelon, dense_to_sparse, smith_normal_form
+from cubehom.zlinalg import Echelon, smith_normal_form
+from test_zlinalg import sparse
 
 
 def random_graph(rng, max_vertices=8, p=None):
@@ -118,7 +118,7 @@ def test_snf_contract_random(property_rng):
     for _ in range(60):
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
-        rows = [dense_to_sparse([rng.randint(-9, 9) for _ in range(c)])
+        rows = [sparse([rng.randint(-9, 9) for _ in range(c)])
                 for _ in range(r)]
         diag = smith_normal_form(rows)
         assert len(diag) <= min(r, c)
@@ -143,7 +143,7 @@ def _prism_remainder(sigma, n, i):
                 chain[f] = w
             else:
                 del chain[f]
-    flipped = apply_automorphism(sigma, CubeAutomorphism.reflection(n, i))
+    flipped = act(sigma, *reflection(n, i))
     sign = (-1) ** i
     for cube, coeff in ((sigma, sign), (flipped, sign)):
         w = chain.get(cube, 0) - coeff
@@ -202,7 +202,8 @@ def test_same_image_squares_homologous_random(property_rng):
         for group in by_image.values():
             sigma = group[0]
             for gamma in group[1:]:
-                _, sign = relating_automorphism(sigma, gamma)
+                sign = (canonical_parametrization(sigma)[0]
+                        * canonical_parametrization(gamma)[0])
                 diff = {at2[sigma]: 1}
                 jg = at2[gamma]
                 diff[jg] = diff.get(jg, 0) - sign

@@ -15,7 +15,6 @@ from cubehom.zlinalg import (
     apply_columns,
     axpy,
     cokernel_of,
-    dense_to_sparse,
     echelon_from_rows,
     homology_at,
     image_of,
@@ -33,8 +32,9 @@ from cubehom.zlinalg import (
 )
 
 
-def sparse_rows(rows):
-    return [dense_to_sparse(r) for r in rows]
+def sparse(vec):
+    """A dense vector as a sparse {index: coeff} dict."""
+    return {i: v for i, v in enumerate(vec) if v}
 
 
 def triple(rows, ncols):
@@ -50,9 +50,9 @@ def triple(rows, ncols):
 
 def test_snf_basic_2x2():
     # invariant-factor oracle: d1 = gcd of entries, d1*d2 = |det|
-    rows = sparse_rows([[2, 4], [6, 8]])
+    rows = [{0: 2, 1: 4}, {0: 6, 1: 8}]
     assert smith_normal_form(rows) == [2, 4]
-    assert rows == sparse_rows([[2, 4], [6, 8]])  # input left as it was
+    assert rows == [{0: 2, 1: 4}, {0: 6, 1: 8}]  # input left as it was
     # a pivot that does not divide what is left takes it in
     assert smith_normal_form([{0: 2}, {1: 3}]) == [1, 6]
     assert smith_normal_form([{0: 2}, {1: 4}, {2: 6}]) == [2, 2, 12]
@@ -69,8 +69,8 @@ def test_snf_divisibility_chain_random():
     for _ in range(60):
         r = rng.randint(0, 5)
         c = rng.randint(0, 5)
-        rows = sparse_rows([[rng.randint(-9, 9) for _ in range(c)]
-                            for _ in range(r)])
+        rows = [sparse([rng.randint(-9, 9) for _ in range(c)])
+                for _ in range(r)]
         diag = smith_normal_form(rows)
         assert len(diag) <= min(r, c)
         assert all(x > 0 for x in diag)
@@ -87,7 +87,7 @@ def test_snf_against_sympy():
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
-        ours = smith_normal_form(sparse_rows(rows))
+        ours = smith_normal_form([sparse(r) for r in rows])
         theirs = sympy_snf(sympy.Matrix(rows))
         tdiag = [abs(theirs[k, k]) for k in range(min(r, c))]
         tdiag = [x for x in tdiag if x]
@@ -118,7 +118,7 @@ def test_snf_rank_matches_fraction_free_elimination():
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
         data = [[rng.randint(-7, 7) for _ in range(c)] for _ in range(r)]
-        snf_rank = len(smith_normal_form(sparse_rows(data)))
+        snf_rank = len(smith_normal_form([sparse(r) for r in data]))
         assert snf_rank == bareiss_rank(r, c, data)
 
 
@@ -192,17 +192,17 @@ def test_split_echelon_reads_the_zero_top_rows_off():
 
 
 def test_lattice_sum_intersection_membership():
-    two = echelon_from_rows([[2, 0], [0, 2]], 2)
-    three = echelon_from_rows([[3, 0], [0, 3]], 2)
+    two = echelon_from_rows([{0: 2}, {1: 2}], 2)
+    three = echelon_from_rows([{0: 3}, {1: 3}], 2)
     assert lattice_sum(two, three).has_unit_pivots()
     assert lattice_sum(two, three).rank == 2
 
-    a = echelon_from_rows([[2]], 1)
-    b = echelon_from_rows([[3]], 1)
+    a = echelon_from_rows([{0: 2}], 1)
+    b = echelon_from_rows([{0: 3}], 1)
     inter = lattice_meet(a, b)
     assert inter.rows in ([{0: 6}], [{0: -6}])
 
-    three2 = echelon_from_rows([[3, 0], [0, 3]], 2)
+    three2 = echelon_from_rows([{0: 3}, {1: 3}], 2)
     assert three2.contains({0: 3})
     assert not three2.contains({0: 1})
 
@@ -216,7 +216,8 @@ def test_lattice_modular_identities_random():
         def rand_lat():
             k = rng.randint(0, 3)
             return echelon_from_rows(
-                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)], n)
+                [sparse([rng.randint(-3, 3) for _ in range(n)])
+                 for _ in range(k)], n)
 
         a, b, c = rand_lat(), rand_lat(), rand_lat()
         s = lattice_sum(a, b)
@@ -233,7 +234,7 @@ def test_lattice_modular_identities_random():
 
 def test_lattice_preimage():
     # preimage of 2Z under multiplication by 3 on Z is 2Z
-    target = echelon_from_rows([[2]], 1)
+    target = echelon_from_rows([{0: 2}], 1)
     pre = lattice_preimage([{0: 3}], 1, target)
     assert pre.rows == [{0: 2}]
     # preimage of 0 under [[1,1]] is the antidiagonal
@@ -250,7 +251,8 @@ def test_express_roundtrip():
         n = rng.randint(1, 5)
         k = rng.randint(1, 4)
         ech = echelon_from_rows(
-            [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)], n)
+            [sparse([rng.randint(-4, 4) for _ in range(n)])
+             for _ in range(k)], n)
         if not ech.rank:
             continue
         coeffs = [rng.randint(-3, 3) for _ in range(ech.rank)]
@@ -271,21 +273,21 @@ def test_express_roundtrip():
 # ---------------------------------------------------------------------------
 
 def test_quotient_group_examples():
-    g = quotient_group(2, [[2, 0]])
+    g = quotient_group(2, [{0: 2}])
     assert g.invariants() == (1, (2,))
     assert str(g) == "Z + Z/2"
     assert quotient_group(3, []).invariants() == (3, ())
-    assert quotient_group(1, [[1]]).is_trivial
+    assert quotient_group(1, [{0: 1}]).is_trivial
 
 
 def test_quotient_group_torsion_chain():
-    g = quotient_group(3, [[2, 0, 0], [0, 4, 0], [0, 0, 6]])
+    g = quotient_group(3, [{0: 2}, {1: 4}, {2: 6}])
     assert g.free_rank == 0
     assert g.torsion == (2, 2, 12)  # invariant factors of diag(2,4,6)
 
 
 def test_group_map_identity_on_torsion():
-    z2 = quotient_group(1, [[2]])
+    z2 = quotient_group(1, [{0: 2}])
     f = GroupMap(z2, z2, [{0: 1}])
     assert kernel_of(f).is_trivial
     assert image_of(f).invariants() == (0, (2,))
@@ -298,8 +300,9 @@ def test_group_map_doubling():
     assert cokernel_of(f).invariants() == (0, (2,))
     assert not is_surjective(f)
     # the inclusion 2Z/4Z -> Z/4Z is injective; doubling on Z/4 is not
-    z4 = quotient_group(1, [[4]])
-    assert kernel_of(GroupMap(quotient_group(1, [[2]]), z4, [{0: 2}])).is_trivial
+    z4 = quotient_group(1, [{0: 4}])
+    z2 = quotient_group(1, [{0: 2}])
+    assert kernel_of(GroupMap(z2, z4, [{0: 2}])).is_trivial
     assert kernel_of(GroupMap(z4, z4, [{0: 2}])).invariants() == (0, (2,))
 
 
@@ -319,7 +322,7 @@ def test_homology_at_contract_violation():
 
 
 def test_ill_defined_map_rejected():
-    z2 = quotient_group(1, [[2]])
+    z2 = quotient_group(1, [{0: 2}])
     z = AbelianGroup.free(1)
     with pytest.raises(ContractViolation):
         GroupMap(z2, z, [{0: 1}])  # Z/2 -> Z sending gen to 1
@@ -390,7 +393,7 @@ def test_group_str_and_iso():
     assert str(AbelianGroup.trivial()) == "0"
     assert str(AbelianGroup.free(2)) == "Z^2"
     a = AbelianGroup.from_invariants(1, (2, 4))
-    assert a.isomorphic(quotient_group(3, [[0, 2, 0], [0, 0, 4]]))
+    assert a.isomorphic(quotient_group(3, [{1: 2}, {2: 4}]))
 
 
 def test_axpy_in_place_and_drops_zeros():
@@ -410,7 +413,7 @@ def test_reduce_and_express_agree_random():
     rng = random.Random(41)
     for _ in range(40):
         n = rng.randint(1, 5)
-        gens = [dense_to_sparse([rng.randint(-4, 4) for _ in range(n)])
+        gens = [sparse([rng.randint(-4, 4) for _ in range(n)])
                 for _ in range(rng.randint(0, 4))]
         ech = echelon_from_rows(gens, n)
         for _ in range(10):
@@ -420,7 +423,7 @@ def test_reduce_and_express_agree_random():
                 for gen in gens:
                     axpy(vec, rng.randint(-3, 3), gen)
             else:
-                vec = dense_to_sparse([rng.randint(-6, 6) for _ in range(n)])
+                vec = sparse([rng.randint(-6, 6) for _ in range(n)])
             before = dict(vec)
             coeffs = ech.express(vec)
             rest = ech.reduce(vec)
@@ -437,18 +440,18 @@ def test_reduce_and_express_agree_random():
 
 
 def test_quotient_in_presents_and_names_violation():
-    top = echelon_from_rows([[1, 0], [0, 1]], 2)
+    top = echelon_from_rows([{0: 1}, {1: 1}], 2)
     group, rels = quotient_in(top, [{0: 2}], "unused")
     assert group.invariants() == (1, (2,))
     assert rels == [{0: 2}]
-    evens = echelon_from_rows([[2, 0]], 2)
+    evens = echelon_from_rows([{0: 2}], 2)
     with pytest.raises(ContractViolation, match="sublattice escapes"):
         quotient_in(evens, [{0: 2}, {1: 1}], "sublattice escapes")
 
 
 def test_lattice_torsion():
-    assert lattice_torsion(echelon_from_rows([[2, 0], [0, 3]], 2)) == (6,)
-    assert lattice_torsion(echelon_from_rows([[1, 5], [0, 1]], 2)) == ()
+    assert lattice_torsion(echelon_from_rows([{0: 2}, {1: 3}], 2)) == (6,)
+    assert lattice_torsion(echelon_from_rows([{0: 1, 1: 5}, {1: 1}], 2)) == ()
     assert lattice_torsion(Echelon(3)) == ()
 
 
@@ -482,8 +485,8 @@ def test_lattice_torsion_against_sympy_random():
         rng.shuffle(rows)
         theirs = sympy_snf(sympy.Matrix(rows))
         tdiag = [abs(theirs[k, k]) for k in range(min(len(rows), n))]
-        assert lattice_torsion(echelon_from_rows(rows, n)) == tuple(
-            x for x in tdiag if x > 1)
+        got = echelon_from_rows([sparse(r) for r in rows], n)
+        assert lattice_torsion(got) == tuple(x for x in tdiag if x > 1)
 
 
 def test_echelon_checks_budget_per_vector():
@@ -544,14 +547,14 @@ def _sequential_echelon(rows, ncols):
     `echelon_from_rows`."""
     ech = Echelon(ncols)
     for r in rows:
-        ech.add(dict(r) if isinstance(r, dict) else dense_to_sparse(r))
+        ech.add(dict(r))
     return ech
 
 
 def _assert_same_lattice(rows, ncols, feed=None):
     """echelon_from_rows(feed or rows) spans the lattice of `rows`, as an
     echelon, and leaves the input rows as they were."""
-    before = [dict(r) if isinstance(r, dict) else list(r) for r in rows]
+    before = [dict(r) for r in rows]
     got = echelon_from_rows(rows if feed is None else feed(rows), ncols)
     assert rows == before
     want = _sequential_echelon(rows, ncols)
@@ -683,7 +686,7 @@ def test_echelon_from_rows_non_unit_pivots_take_the_exact_adds():
             ([[3, 1], [5, 1]], 2),     # (5, 1) - (5 // 3) (3, 1) too
             ([[3, 1, 0], [1, 1, 2], [0, 2, 5]], 3),
             ([[6, 0, 0], [0, 10, 0], [0, 0, 15], [2, 2, 2]], 3)):
-        got = _assert_same_lattice(rows, ncols)
+        got = _assert_same_lattice([sparse(r) for r in rows], ncols)
         assert got.rank == min(len(rows), ncols)
 
 
@@ -705,18 +708,16 @@ def test_echelon_from_rows_lane_width_near_2_40():
         _assert_same_lattice(rows, 6)
 
 
-def test_echelon_from_rows_generator_and_dense_input():
+def test_echelon_from_rows_iterator_and_generator_input():
     rng = random.Random(73)
     for _ in range(30):
         ncols = rng.randint(1, 7)
         base = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(3)]
-        dense = base + [[sum(rng.randint(-2, 2) * b[j] for b in base)
-                         for j in range(ncols)] for _ in range(6)]
-        _assert_same_lattice(dense, ncols)
-        sparse = [dense_to_sparse(r) for r in dense]
-        _assert_same_lattice(sparse, ncols, feed=iter)
-        _assert_same_lattice(sparse, ncols,
-                             feed=lambda rows: (r for r in rows))
+        rows = [sparse(r) for r in base + [
+            [sum(rng.randint(-2, 2) * b[j] for b in base)
+             for j in range(ncols)] for _ in range(6)]]
+        _assert_same_lattice(rows, ncols, feed=iter)
+        _assert_same_lattice(rows, ncols, feed=lambda rows: (r for r in rows))
 
 
 @pytest.fixture(scope="module")
