@@ -13,7 +13,8 @@ runner, `run_command`, loads the graph, calls the compute function, maps
 the outcome to a status and prints the JSON document or the table.
 
 Identical inputs and budgets produce byte-identical JSON.  Exit status is
-0 on success, 2 when a dimension or time budget stopped the computation,
+0 on success, 2 when a dimension or time budget stopped the computation
+(its reason goes to standard error as `incomplete: <reason>`),
 1 on bad input (usage errors included), and 3 when an internal identity
 that must hold mathematically failed (a `ContractViolation`, which is a
 bug: the JSON document then has status "error" and names the identity).
@@ -22,6 +23,7 @@ bug: the JSON document then has status "error" and names the identity).
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import __version__
 from .budget import (
@@ -35,6 +37,7 @@ from .chains import (
     homology,
     normalized_complex,
 )
+from .cubes import subgraph_levels
 from .cwcomplex import build_cw_complex, cell_to_degree_class, cw_homology, cw_to_json
 from .graphs import FAMILIES, EdgeListError, format_edge_list, generate, parse_edge_list
 from .monophobic import check_graph, iter_checks
@@ -92,7 +95,8 @@ def run_command(args):
     try:
         args.compute(g, args, results)
         status = "complete"
-    except (BudgetExhausted, DimensionBudgetError):
+    except (BudgetExhausted, DimensionBudgetError) as e:
+        print(f"incomplete: {e}", file=sys.stderr)
         status = "incomplete"
     except ContractViolation as e:
         print(f"error: internal identity failed: {e}", file=sys.stderr)
@@ -235,9 +239,14 @@ def table_check_mono(results):
 
 
 def compute_h2_pipeline(g, args, results):
+    # one walk of the cube subgraph levels: levels 1 and 2 feed the checks,
+    # and level 3 is pulled for the cell complex only after both
+    levels = subgraph_levels(g)
+    walked = [next(levels)]
     witnesses = {}
     for n in (1, 2):
-        report = check_graph(g, n, "quasimonophobic")
+        walked.append(next(levels))
+        report = check_graph(g, n, "quasimonophobic", walked[n])
         results[f"quasimonophobic_{n}"] = report.overall
         if not report.overall:
             bad = next(c for c in report.checks
@@ -246,7 +255,8 @@ def compute_h2_pipeline(g, args, results):
     results["witnesses"] = witnesses
     quasi_ok = not witnesses
 
-    cw_h2 = _group_doc(cw_homology(build_cw_complex(g, 3), 2))
+    cw = build_cw_complex(g, 3, chain(walked, levels))
+    cw_h2 = _group_doc(cw_homology(cw, 2))
     results["cw_h2"] = cw_h2
     results["conclusion_h2"] = cw_h2 if quasi_ok else None
 

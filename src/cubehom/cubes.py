@@ -175,22 +175,33 @@ def canonical_parametrization(corners):
 # ---------------------------------------------------------------------------
 
 def _cube_filter(n, filt):
-    """The test of `filt` on n-cubes, bound once per enumeration; None
-    when the walk alone decides: "all", and "injective", which the walk
-    keeps injective as it goes."""
+    """The test of `filt` on whole n-cubes; None when the walk alone
+    decides: "all", and "injective", which the walk keeps injective as it
+    goes.  The walk decides "nondegenerate" too, by `_degenerate_ban`."""
     if filt in ("all", "injective"):
         return None
     if filt == "nondegenerate":
-        getters = face_getters(n)
-        pairs = tuple(zip(getters[::2], getters[1::2]))
-
-        def nondegenerate(corners):
-            for front, back in pairs:
-                if front(corners) == back(corners):
-                    return False
-            return True
-        return nondegenerate
+        ban = _degenerate_ban(n)
+        return lambda corners: corners[-1] not in ban(corners)
     raise ValueError(f"unknown filter {filt!r}")
+
+
+@lru_cache(maxsize=None)
+def _degenerate_ban(n):
+    """The vertices that the last corner 2^n - 1 must avoid for an n-cube
+    to be nondegenerate, as a function of its corners.  Coordinate i's
+    faces coincide iff corners b and b + 2^(i-1) agree for every b without
+    bit i-1; when every such pair but the last corner's agrees, the last
+    corner must differ from its partner 2^n - 1 - 2^(i-1)."""
+    last = (1 << n) - 1
+    tests = []
+    for bit in (1 << i for i in range(n)):
+        front = [b for b in range(last) if not b & bit and b != last ^ bit]
+        # corner 0 on both sides keeps the getters nonempty at n = 1
+        tests.append((itemgetter(0, *front),
+                      itemgetter(0, *[b | bit for b in front]), last ^ bit))
+    return lambda corners: {corners[j] for front, back, j in tests
+                            if front(corners) == back(corners)}
 
 
 def _avoid_table(avoid, size):
@@ -238,6 +249,9 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
     once a pattern's earlier corners all match, its vertex leaves the
     candidates of its largest corner, which prunes the whole subtree.  The
     rest of the stream is unchanged and in the same order.
+    The filters are bans too: "injective" drops the used vertices from
+    every candidate set, "nondegenerate" drops from the last corner's the
+    vertices that would make two opposite faces equal (`_degenerate_ban`).
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
@@ -246,7 +260,7 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
         raise ValueError(f"a prefix of {n}-cubes has 1..{size} corners, "
                          f"not {len(prefix)}")
     inject = filt == "injective"
-    keep = _cube_filter(n, filt)
+    nondeg = _degenerate_ban(n) if _cube_filter(n, filt) else None
     ban = _avoid_table(avoid, size) if avoid else None
     closed = g.closed
     lower = _lower_neighbors(n)
@@ -264,6 +278,8 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
         if ban and any(root[c] == w and get(root) == want
                        for c in range(k + 1) for get, want, w in ban[c]):
             continue
+        if nondeg and k + 1 == size and root[k] in nondeg(root):
+            continue
         b = k
         stack[k] = iter((root[k],))
         while b >= k:
@@ -273,9 +289,7 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
             for v in it:
                 corners[b] = v
                 if b + 1 == size:
-                    t = tuple(corners)
-                    if keep is None or keep(t):
-                        yield t
+                    yield tuple(corners)
                     continue
                 first, rest = lower[b + 1]
                 cand = closed[corners[first]]
@@ -286,6 +300,8 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
                 if ban and ban[b + 1]:
                     cand = cand - {w for get, want, w in ban[b + 1]
                                    if get(corners) == want}
+                if nondeg and b + 2 == size and cand:
+                    cand = cand - nondeg(corners)
                 if inject and cand:
                     used.add(v)
                     cand = cand - used
@@ -357,17 +373,22 @@ def cube_subgraphs(g, n):
 def subgraph_levels(g):
     """Yield the lists of n-cube subgraphs for n = 0, 1, ..., in order:
     a canonical parametrization has a canonical front face along its last
-    coordinate, so level n is the injective extensions of level n-1's reps
-    whose new corners exceed corner 0 and whose corner 2^(n-1) exceeds
-    corner 2^(n-2), and each rep's extensions come out in order."""
+    coordinate, so level n is the injective extensions c of level n-1's
+    reps with every new corner above c[0] and c[2^(n-1)] > c[2^(n-2)].
+    Each rep is walked from those first back corners v = c[2^(n-1)] only,
+    one `prefix=rep + (v,)` walk per v in increasing order, so its
+    extensions come out in order."""
     cells = [CubeSubgraph(0, (v,), (), (v,)) for v in range(g.n)]
     for n in count(1):
         yield cells
         half = 1 << (n - 1)
         cells = [CubeSubgraph(n, *image_subgraph(c), c)
                  for q in cells
-                 for c in singular_cubes(g, n, "injective", prefix=q.rep)
-                 if c[half] > c[half >> 1] and min(c[half:]) > c[0]]
+                 for v in sorted(g.closed[q.rep[0]])
+                 if v > q.rep[half >> 1] and v > q.rep[0] and v not in q.rep
+                 for c in singular_cubes(g, n, "injective",
+                                         prefix=q.rep + (v,))
+                 if min(c[half:]) > c[0]]
 
 
 def cubical_dimension(g):

@@ -60,7 +60,7 @@ class CwCubeComplex:
             raise DimensionBudgetError(n, self.max_dim, what)
 
 
-def build_cw_complex(g, max_dim):
+def build_cw_complex(g, max_dim, levels=None):
     """Cells in every dimension up to max_dim with oriented boundaries.
 
     The boundary of a cell is the alternating sum of its face cells, each
@@ -68,11 +68,12 @@ def build_cw_complex(g, max_dim):
     face of the cell's canonical parametrization to the face cell's.  The
     faces of an injective cube are distinct subgraphs, so no face cell
     repeats.  The cells come from one `subgraph_levels` stream, each level
-    walked once.
+    walked once, or from `levels`, a stream of the same cell lists.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
-    cells = list(islice(subgraph_levels(g), max_dim + 1))
+    levels = subgraph_levels(g) if levels is None else levels
+    cells = list(islice(levels, max_dim + 1))
     columns = [[]]
     for n in range(1, max_dim + 1):
         below = {q.rep: i for i, q in enumerate(cells[n - 1])}
@@ -80,7 +81,11 @@ def build_cw_complex(g, max_dim):
         for q in cells[n]:
             col = {}
             for t, get in enumerate(face_getters(n)):
-                det, rep = canonical_parametrization(get(q.rep))
+                face = get(q.rep)
+                # a front face (t even) of a canonical parametrization is
+                # canonical: its corner 0 and its neighbours are the cell's
+                det, rep = (canonical_parametrization(face) if t & 1
+                            else (1, face))
                 # face (i, side) sits in slot t = 2(i-1) + side
                 sgn = -1 if t & 1 == (t >> 1) & 1 else 1
                 col[below[rep]] = sgn * det

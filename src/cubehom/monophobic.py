@@ -133,20 +133,22 @@ def check_cube(g, q, mode="quasimonophobic"):
     return True, None
 
 
-def iter_checks(g, n, mode="quasimonophobic"):
-    """The verdicts of the n-cube subgraphs, one `CubeCheck` at a time."""
+def iter_checks(g, n, mode="quasimonophobic", subgraphs=None):
+    """The verdicts of the n-cube subgraphs, one `CubeCheck` at a time;
+    `subgraphs` is their list when the caller has walked it already."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
     _is_quasi(mode)  # also when there is no cube to hand it to check_cube
-    for q in cube_subgraphs(g, n):
+    for q in cube_subgraphs(g, n) if subgraphs is None else subgraphs:
         # a rigid cube passes or has a witness; a non-rigid one neither
         passes, witness = check_cube(g, q, mode)
         yield CubeCheck(q, passes or witness is not None, passes, witness)
 
 
-def check_graph(g, n, mode="quasimonophobic"):
-    """Check every n-cube subgraph; vacuously true when there are none."""
-    return MonoReport(g, n, mode, list(iter_checks(g, n, mode)))
+def check_graph(g, n, mode="quasimonophobic", subgraphs=None):
+    """Check every n-cube subgraph (`subgraphs`, when the caller has
+    walked them); vacuously true when there are none."""
+    return MonoReport(g, n, mode, list(iter_checks(g, n, mode, subgraphs)))
 
 
 def is_quasimonophobic(g, n):

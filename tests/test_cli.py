@@ -6,14 +6,17 @@ import time
 import pytest
 
 import cubehom.cli
+from cubehom import cubes
 from cubehom.budget import (
     BudgetExhausted,
+    DimensionBudgetError,
     checkpoint,
     clear_time_budget,
     set_time_budget,
     time_budget,
 )
 from cubehom.cli import main
+from cubehom.cwcomplex import build_cw_complex
 from cubehom.graphs import (
     complete_bipartite_graph,
     cycle_graph,
@@ -267,6 +270,75 @@ def test_h2_pipeline_partial_table(cli, monkeypatch):
     assert out.splitlines() == ["1-quasimonophobic: True",
                                 "2-quasimonophobic: True",
                                 "status: incomplete"]
+
+
+def test_incomplete_runs_give_their_reason(cli, monkeypatch):
+    # stdout holds the usual document only; the reason goes to stderr
+    graph_text = format_edge_list(greene_sphere(4))
+    for fmt, want in (("table", "status: incomplete\n"),
+                      ("json", '{"command":"h2-pipeline","graph":{"edges":16,'
+                               '"vertices":10},"results":{},'
+                               '"status":"incomplete"}\n')):
+        code, out, err = cli(["h2-pipeline", "--time-budget", "0",
+                              "--format", fmt], graph_text)
+        assert (code, out) == (2, want)
+        assert err == "incomplete: soft time budget exhausted\n"
+    _stop_on_call(monkeypatch, "homology", 3)
+    code, out, err = cli(["homology", "--max-dim", "3"], graph_text)
+    assert code == 2 and out.splitlines()[-1] == "status: incomplete"
+    assert err == "incomplete: soft time budget exhausted\n"
+
+    def beyond(c, n):
+        raise DimensionBudgetError(n + 1, n, "cell complex")
+
+    monkeypatch.setattr(cubehom.cli, "cw_homology", beyond)
+    code, out, err = cli(["cw-homology", "--max-dim", "2"], graph_text)
+    assert code == 2
+    assert err == ("incomplete: cell complex built through dimension 0, "
+                   "but dimension 1 is required\n")
+
+
+def _spy_level_walks(monkeypatch):
+    """(n, prefix) of every walk of the cube subgraph levels."""
+    walks, walk = [], cubes.singular_cubes
+
+    def spy(g, n, filt="all", prefix=None, avoid=()):
+        walks.append((n, prefix))
+        return walk(g, n, filt, prefix, avoid)
+
+    monkeypatch.setattr(cubes, "singular_cubes", spy)
+    return walks
+
+
+def test_h2_pipeline_walks_each_level_once(cli, monkeypatch):
+    g = greene_sphere(4)
+    with monkeypatch.context() as m:
+        once = _spy_level_walks(m)
+        build_cw_complex(g, 3)
+    walks = _spy_level_walks(monkeypatch)
+    code, out, _ = cli(["h2-pipeline", "--format", "json"],
+                       format_edge_list(g))
+    assert code == 0 and json.loads(out)["results"]["cw_h2"]["rank"] == 1
+    assert walks == once and {n for n, _ in walks} == {1, 2, 3}
+
+
+def test_h2_pipeline_stop_in_second_check_keeps_the_first(cli, monkeypatch):
+    # greene-sphere(4) has 16 edges, so the 17th cube check is the first
+    # of the 2-cubes
+    graph_text = format_edge_list(greene_sphere(4))
+    real, calls = cubehom.monophobic.check_cube, []
+
+    def stopping(*args):
+        calls.append(args)
+        if len(calls) == 17:
+            assert args[1].dim == 2
+            raise BudgetExhausted("soft time budget exhausted")
+        return real(*args)
+
+    monkeypatch.setattr(cubehom.monophobic, "check_cube", stopping)
+    code, out, _ = cli(["h2-pipeline", "--format", "json"], graph_text)
+    assert code == 2
+    assert json.loads(out)["results"] == {"quasimonophobic_1": True}
 
 
 def test_check_mono_partial_verdicts(cli, monkeypatch, tmp_path):

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -457,6 +457,55 @@ def test_avoid_filters_the_stream_in_order(graph, n, filt):
                 [c for c in want if c[:len(prefix)] == prefix]
 
 
+_SMALL = {
+    "K1": lambda: Graph(1, []),
+    "P3": lambda: Graph(3, [(0, 1), (1, 2)]),
+    "K_{1,3}": lambda: Graph(4, [(0, 1), (0, 2), (0, 3)]),
+    "C4": lambda: cycle_graph(4),
+    "K4": lambda: Graph(4, list(combinations(range(4), 2))),
+    "C5": lambda: cycle_graph(5),
+    "K_{2,3}": lambda: complete_bipartite_graph(2, 3),
+    "C6": lambda: cycle_graph(6),
+    "P3+K2+K1": lambda: Graph(6, [(0, 1), (1, 2), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in _SMALL for n in (0, 1, 2)] + [
+    (name, 3) for name in ("P3", "K_{1,3}", "C4", "K4")])
+def test_singular_cubes_match_brute_force(name, n):
+    # every vertex tuple, kept when it is a graph map and passes the filter,
+    # in lexicographic order: the oracle for the walk and its bans
+    g = _SMALL[name]()
+    size = 1 << n
+    every = [c for c in product(range(g.n), repeat=size) if is_graph_map(g, c)]
+    tests = {"all": lambda c: True, "injective": is_injective,
+             "nondegenerate": lambda c: all(
+                 face(c, i, MINUS) != face(c, i, PLUS)
+                 for i in range(1, n + 1))}
+    rng = random.Random(f"{name}:{n}")
+    prefixes = sorted({c[:rng.randint(1, size)] for c in every})
+    prefixes = rng.sample(prefixes, min(12, len(prefixes)))
+    prefixes += [c for c in every if is_degenerate(c)][:2]  # pinned last
+    for filt, test in tests.items():
+        want = [c for c in every if test(c)]
+        assert list(singular_cubes(g, n, filt)) == want
+        for _ in range(3):
+            avoid = [{b: rng.randrange(g.n)
+                      for b in rng.sample(range(size), rng.randint(1, size))}
+                     for _ in range(rng.randint(1, 3))]
+            kept = [c for c in want
+                    if not any(_extends(c, p) for p in avoid)]
+            assert list(singular_cubes(g, n, filt, avoid=avoid)) == kept
+            for prefix in prefixes:
+                k = len(prefix)
+                assert list(singular_cubes(g, n, filt, prefix=prefix)) == \
+                    [c for c in want if c[:k] == prefix]
+                assert list(singular_cubes(g, n, filt, prefix=prefix,
+                                           avoid=avoid)) == \
+                    [c for c in kept if c[:k] == prefix]
+
+
 def test_avoid_inside_the_prefix():
     g = hypercube_graph(2)
     # a pattern that the pinned corners already match empties the stream
@@ -538,10 +587,16 @@ def test_cube_subgraphs_walk_only_canonical_fronts(monkeypatch):
 
 
 def test_cw_complex_walks_each_level_once(monkeypatch):
+    # level n is walked once, from each rep's canonical first back corners
+    # 2^(n-1): neighbours of corner 0 above corners 0 and 2^(n-2), outside
+    # the rep, in increasing order
+    g = hypercube_graph(7)
     walks = _spy_walks(monkeypatch)
-    c = build_cw_complex(hypercube_graph(7), 3)
-    assert [w[:2] for w in walks] == [[n, q.rep] for n in range(1, 4)
-                                      for q in c.cells[n - 1]]
+    c = build_cw_complex(g, 3)
+    assert [w[:2] for w in walks] == [
+        [n, q.rep + (v,)] for n in range(1, 4) for q in c.cells[n - 1]
+        for v in sorted(g.closed[q.rep[0]])
+        if v > max(q.rep[0], q.rep[(1 << (n - 1)) >> 1]) and v not in q.rep]
 
 
 def test_cube_subgraphs_stop_on_budget():

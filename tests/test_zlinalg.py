@@ -3,6 +3,7 @@ from collections.abc import Sequence
 
 import pytest
 
+from cubehom import zlinalg
 from cubehom.budget import BudgetExhausted, clear_time_budget, set_time_budget
 from cubehom.chains import normalized_complex
 from cubehom.graphs import greene_sphere
@@ -651,16 +652,48 @@ def test_echelon_from_rows_adds_a_failed_certificate(monkeypatch):
 
 
 def test_echelon_from_rows_non_unit_replay_adds_every_row(monkeypatch):
-    # (1, 2) and (0, 3) are independent modulo 2 and replay to the pivot 3;
-    # with no certificate, pass 2 adds every row exactly, the rejected
-    # (1, 5) and (0, 1) included
+    # (1, 2) and (0, 3) are independent modulo 2 and replay, shortest
+    # first, to the pivot 3; with no certificate, pass 2 adds every row
+    # exactly, the rejected (1, 5) and (0, 1) included
     rows = [{0: 1, 1: 2}, {1: 3}, {0: 1, 1: 5}, {1: 1}]
     added = _exact_adds(monkeypatch)
     got = echelon_from_rows(_callable(rows), 2)
-    assert added == rows[:2] + rows
+    assert added == [rows[1], rows[0]] + rows
     monkeypatch.undo()
     assert got.has_unit_pivots() and got.rank == 2
     _assert_same_lattice(rows, 2)
+
+
+def _replay_by_last_entry(ech, rows):
+    """The other replay order: increasing last entry."""
+    for r in sorted(rows, key=max):
+        ech.add(dict(r))
+
+
+def _abs_pivots(ech):
+    return [abs(r[j]) for r, j in zip(ech.rows, ech.pivots)]
+
+
+def test_replay_order_keeps_pivots_and_lattice(monkeypatch):
+    # the pivot columns and |pivots| of an echelon basis are invariants of
+    # its lattice, so the replay order moves neither, only the basis
+    rng = random.Random(22)
+    other_basis = 0
+    for _ in range(120):
+        ncols = rng.randint(1, 10)
+        density = rng.choice((0.2, 0.5, 0.9))
+        rows = [{j: v for j in range(ncols) if rng.random() < density
+                 for v in [rng.randint(-4, 4)] if v}
+                for _ in range(rng.randint(0, 14))]
+        got = _assert_same_lattice(rows, ncols)
+        with monkeypatch.context() as m:
+            m.setattr(zlinalg, "replay", _replay_by_last_entry)
+            old = _assert_same_lattice(rows, ncols)
+        assert got.pivots == old.pivots
+        assert _abs_pivots(got) == _abs_pivots(old)
+        assert got.has_unit_pivots() == old.has_unit_pivots()
+        other_basis += got.rows != old.rows
+    assert other_basis > 0
 
 
 def test_echelon_from_rows_gf2_dependent_rows():
