@@ -297,9 +297,10 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
                     cand = cand & closed[corners[cidx]]
                     if not cand:
                         break
-                if ban and ban[b + 1]:
-                    cand = cand - {w for get, want, w in ban[b + 1]
-                                   if get(corners) == want}
+                if ban:
+                    for get, want, w in ban[b + 1]:
+                        if w in cand and get(corners) == want:
+                            cand = cand - {w}
                 if nondeg and b + 2 == size and cand:
                     cand = cand - nondeg(corners)
                 if inject and cand:

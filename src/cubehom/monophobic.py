@@ -34,8 +34,37 @@ face and so only non-witnesses: the stream keeps its order and the first
 witness is the same.  The back face needs its own test at each candidate
 left, since it can be supported without a fold: in the 4-cube graph
 with q = (0, 1, 2, 3), beta = (1, 3, 0, 2) is a quarter turn of q.
+
+Local lemma, quasi mode: a rigid edge or square Q passes if no vertex
+outside Q neighbours two corners of Q, and `check_cube` skips its walk.
+Write N[v] for closed neighbourhoods and x_b = beta(b); a witness is a
+noninjective candidate with no fold and an unsupported back face.
+Edge q = (a, b): Q passes iff N[a] & N[b] = {a, b}.  A common neighbour
+w gives the witness x = (w, w), whose other faces hit w.  Without one,
+x0 = x1 is impossible off the folds x0 = b and x1 = a, so x0 = a or
+x1 = b, and then x = q: N[a] & N[b] - {a} = {b}, and likewise.
+Square q = (q0, q1, q2, q3), edges q0q1, q0q2, q1q3, q2q3: with (T)
+N[a] & N[b] = {a, b} on each edge, Q passes iff (H) N[q0] & N[q3] =
+{q1, q2} and N[q1] & N[q2] = {q0, q3}.  An outside w in N[q0] & N[q3]
+gives the witness x = (q0, q0, q0, w), one in N[q1] & N[q2] gives
+x = (q1, q1, w, q1): every other face hits w or two vertices.  Under (T)
+and (H), which say that no outside vertex neighbours two corners, the
+folds are (x0, x2) = (q1, q3), (x1, x3) = (q0, q2), (x0, x1) = (q2, q3)
+and (x2, x3) = (q0, q1).  A repeat x_b = x_c outside Q would break (T)
+or (H), so a noninjective candidate has some x_b in Q, and a symmetry
+of the square (it keeps candidates, folds and supported faces) makes
+x0 in {q0, q1, q2}.  x0 = q0 puts x1 in {q0, q1}, x2 in {q0, q2}:
+x1 = q0 leaves x3 in {q1, q2}, q2 a fold and q1 forcing the fold
+x2 = q0; (x1, x2) = (q1, q0) leaves the fold x3 = q1; (q1, q2) leaves
+x = q.  x0 = q1 puts x2 in {q0, q3}, q3 a fold; x2 = q0 leaves x3 in
+{q1, q2}, q1 a fold; x3 = q2 puts x1 in {q0, q3}, q0 a fold and q3 the
+quarter turn (q1, q3, q0, q2).  x0 = q2 is x0 = q1 with q1, q2 swapped.
+q and the quarter turn support the back face: no witness.  The walk
+decides failing cubes, whose witness stays the first in walk order, and
+squares with a triangle on an edge, which can pass or fail.
 """
 
+from .budget import checkpoint
 from .cubes import (
     cube_dim,
     cube_subgraphs,
@@ -110,6 +139,14 @@ def _is_quasi(mode):
     return mode == "quasimonophobic"
 
 
+def _passes_locally(g, rep):
+    """True if no vertex outside the rigid edge or square `rep` neighbours
+    two of its corners, so that it passes in quasi mode (local lemma)."""
+    checkpoint()
+    outside = [g.closed[v].difference(rep) for v in rep]
+    return sum(map(len, outside)) == len(set().union(*outside))
+
+
 def check_cube(g, q, mode="quasimonophobic"):
     """(passes, witness) for one cube subgraph.
 
@@ -121,6 +158,8 @@ def check_cube(g, q, mode="quasimonophobic"):
     if not is_rigid(g, q):
         return False, None
     rep = q.rep
+    if quasi and q.dim in (1, 2) and _passes_locally(g, rep):
+        return True, None
     size = len(rep)
     verts = set(rep)
     # the folds: back corners that make side face (i, s) supported

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -204,6 +205,88 @@ def test_check_cube_matches_brute_force(name, g):
                 assert check_cube(g, q, mode) == want
 
 
+def _local_lemma(g, q):
+    """The edge and square lemmas of the `monophobic` docstring for rigid
+    q in quasi mode: (True, None), (False, the witness they build), or
+    None for a square with a triangle on an edge."""
+    rep = q.rep
+
+    def common(a, b):
+        return g.closed[rep[a]] & g.closed[rep[b]]
+
+    if len(rep) == 2:
+        extra = sorted(common(0, 1) - set(rep))
+        return (False, rep + (extra[0],) * 2) if extra else (True, None)
+    q0, q1, q2, q3 = rep
+    if any(common(a, b) != {rep[a], rep[b]}
+           for a, b in ((0, 1), (0, 2), (1, 3), (2, 3))):
+        return None
+    for w in sorted(common(0, 3) - {q1, q2}):
+        return False, rep + (q0, q0, q0, w)
+    for w in sorted(common(1, 2) - {q0, q3}):
+        return False, rep + (q1, q1, w, q1)
+    return True, None
+
+
+def _check_local_lemma(g, tally):
+    for n in (1, 2):
+        for q in cube_subgraphs(g, n):
+            rigid = is_rigid(g, q)
+            for mode in ("monophobic", "quasimonophobic"):
+                want = _oracle_check(g, q, mode) if rigid else (False, None)
+                assert check_cube(g, q, mode) == want
+            if not rigid:
+                continue
+            lemma = _local_lemma(g, q)
+            tally[n, lemma and lemma[0]] += 1
+            if lemma is not None:
+                passes, tau = lemma
+                assert passes == _oracle_check(g, q, "quasimonophobic")[0]
+                assert passes or validate_witness(g, q, tau,
+                                                  "quasimonophobic")
+
+
+def _every_graph(order):
+    pairs = [(a, b) for a in range(order) for b in range(a + 1, order)]
+    for mask in range(1 << len(pairs)):
+        yield Graph(order, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def _random_graph(rng, order, triangles):
+    edges = []
+    adj = [set() for _ in range(order)]
+    for a in range(order):
+        for b in range(a + 1, order):
+            if rng.random() < 0.4 and (triangles or not adj[a] & adj[b]):
+                edges.append((a, b))
+                adj[a].add(b)
+                adj[b].add(a)
+    return Graph(order, edges)
+
+
+def test_local_lemma_every_small_graph():
+    # every labelled graph on at most 5 vertices, n = 1 and 2, both modes
+    tally = Counter()
+    for order in range(1, 6):
+        for g in _every_graph(order):
+            _check_local_lemma(g, tally)
+    # each branch of both lemmas is hit: passes, fails, and (n = 2 only)
+    # left to the walk by a triangle on an edge
+    assert set(tally) == {(1, True), (1, False),
+                          (2, True), (2, False), (2, None)}
+
+
+@pytest.mark.parametrize("triangles", [False, True],
+                         ids=["triangle-free", "with-triangles"])
+def test_local_lemma_random_graphs(triangles):
+    rng = random.Random(2323 + triangles)
+    tally = Counter()
+    for _ in range(60):
+        _check_local_lemma(_random_graph(rng, rng.randint(6, 11), triangles),
+                           tally)
+    assert tally[2, True] and tally[2, False]
+
+
 def test_back_face_is_not_a_fold():
     # a quarter turn of the square supports the back face of its prism
     # but folds along no side face, so the back face is tested on its own
@@ -216,19 +299,50 @@ def test_back_face_is_not_a_fold():
         [q.rep, (1, 3, 0, 2)]
 
 
-def test_fold_patterns_prune_the_coface_walk(monkeypatch):
-    walked, real = [], monophobic.singular_cubes
+def _record_walks(monkeypatch):
+    """The cofaces drawn by each witness walk, one list per walk."""
+    walks, real = [], monophobic.singular_cubes
 
     def counting(*args, **kwargs):
+        walks.append([])
         for tau in real(*args, **kwargs):
-            walked.append(tau)
+            walks[-1].append(tau)
             yield tau
 
     monkeypatch.setattr(monophobic, "singular_cubes", counting)
-    # every square of Q7 passes, so each coface stream runs to its end;
-    # 63,168 cofaces without the fold patterns
+    return walks
+
+
+def test_fold_patterns_prune_the_coface_walk(monkeypatch):
+    walks = _record_walks(monkeypatch)
+    # the local lemma turned off, so every square of Q7 is walked; each
+    # passes, so each coface stream runs to its end; 63,168 cofaces
+    # without the fold patterns
+    monkeypatch.setattr(monophobic, "_passes_locally", lambda g, rep: False)
     assert check_graph(hypercube_graph(7), 2).overall
-    assert len(walked) <= 5376
+    assert len(walks) == 672
+    assert sum(map(len, walks)) <= 5376
+
+
+def test_local_lemma_skips_the_walk(monkeypatch):
+    walks = _record_walks(monkeypatch)
+    assert check_graph(hypercube_graph(7), 2).overall
+    assert check_graph(hypercube_graph(7), 1).overall
+    assert walks == []
+    # the lemma covers edges and squares in quasi mode only
+    assert check_graph(hypercube_graph(4), 3).overall
+    assert len(walks) == 8
+    assert not check_graph(hypercube_graph(3), 2, "monophobic").overall
+    assert len(walks) == 8 + 6
+
+
+def test_failing_squares_still_walk_to_their_witness(monkeypatch):
+    walks = _record_walks(monkeypatch)
+    report = check_graph(complete_bipartite_graph(2, 3), 2)
+    # each walk stops at its first witness, which the search reindexes
+    assert [tuple(walk[-1][(t & 1) * 4 + (t >> 1)] for t in range(8))
+            for walk in walks] == [c.witness for c in report.checks] == \
+        list(K23_FROZEN)
 
 
 def test_budget_stops_the_witness_search():
@@ -250,12 +364,14 @@ def test_validate_witness_rejects_an_unknown_mode():
         validate_witness(g, q, tau, "bogus")
 
 
+K23_FROZEN = ((0, 0, 2, 0, 3, 0, 1, 4), (0, 0, 2, 0, 4, 0, 1, 3),
+              (0, 0, 3, 0, 4, 0, 1, 2))
+
+
 def test_check_cube_k23_witnesses_frozen():
     g = complete_bipartite_graph(2, 3)
     got = [check_cube(g, q) for q in cube_subgraphs(g, 2)]
-    assert got == [(False, (0, 0, 2, 0, 3, 0, 1, 4)),
-                   (False, (0, 0, 2, 0, 4, 0, 1, 3)),
-                   (False, (0, 0, 3, 0, 4, 0, 1, 2))]
+    assert got == [(False, tau) for tau in K23_FROZEN]
 
 
 def test_supported_face_count_dimension_check():
