@@ -372,6 +372,18 @@ def _slice_basis(g, k, n):
             if cube_degree(cube) == k]
 
 
+def _pinned_first(g, n, front):
+    """The nondegenerate (n+1)-cubes with front n-face `front`: first those
+    whose first back corner 2^n stays on corner 0's vertex, then the rest.
+    Two lexicographic walks, disjoint, so each coface comes once; the
+    second starts when the first ends, so a front holds one walk at a time
+    (the round robin keeps a stream per slice-basis cube)."""
+    yield from singular_cubes(g, n + 1, "nondegenerate",
+                              prefix=front + front[:1])
+    yield from singular_cubes(g, n + 1, "nondegenerate", prefix=front,
+                              avoid=[{len(front): front[0]}])
+
+
 def _image_quotient(ncols, cycle_rank, columns, progress):
     """Cycles modulo the image, for an image spanned by streamed columns.
 
@@ -414,13 +426,17 @@ def quotient_homology(g, k, n, threads=1):
     the degree-k nondegenerate (n+1)-cubes, never materializing the top
     chain group.  Every such cube has exactly one front n-face (corners
     0..2^n-1), so the stream splits by front face with no dedupe: one
-    coface stream `singular_cubes(g, n + 1, "nondegenerate", prefix=s)`
-    per slice-basis cube s, and then the cofaces of the other n-cubes of
-    degree at most k (a cube's degree is at least its faces').
+    coface stream per slice-basis cube s, and then the cofaces of the other
+    n-cubes of degree at most k (a cube's degree is at least its faces').
+    The stream of s (`_pinned_first`) yields first the cofaces whose first
+    back corner stays on s's corner 0, then the others, each part in
+    lexicographic order; the tail walks each other front's cofaces once.
 
     `_image_quotient` sees one column iterator: one degree-k column from
     each coface stream in turn, so the columns spread over the whole slice
-    basis early, then the other cofaces.  Its GF(2) pick and exact replay
+    basis early, then the other cofaces.  On E1[1,1] of the Greene spheres
+    the first round, one pinned coface per front, reaches the cycle rank
+    modulo 2 on every labeling tried.  The GF(2) pick and exact replay
     settle H = 0 as soon as the replay reaches the cycle rank with unit
     pivots; any other outcome takes one exact pass over the rest of the
     stream, which enumerates, degree-tests and adds each cube once.  Like
@@ -444,9 +460,6 @@ def quotient_homology(g, k, n, threads=1):
                 out_rank.add(_boundary_column(cube, n, below_index))
         progress.cycle_rank = len(here) - out_rank.rank
 
-        def cofaces(front):
-            return singular_cubes(g, n + 1, "nondegenerate", prefix=front)
-
         def counting(cubes):
             for cube in cubes:
                 progress.pulled += 1
@@ -455,7 +468,8 @@ def quotient_homology(g, k, n, threads=1):
 
         def columns():
             # a stream that runs dry leaves the turn
-            turn = deque(counting(cofaces(front)) for front in here)
+            turn = deque(counting(_pinned_first(g, n, front))
+                         for front in here)
             while turn:
                 stream = turn.popleft()
                 col = next(stream, None)
@@ -465,7 +479,8 @@ def quotient_homology(g, k, n, threads=1):
             yield from counting(
                 cube for front in singular_cubes(g, n, "all")
                 if front not in here_index and cube_degree(front) <= k
-                for cube in cofaces(front))
+                for cube in singular_cubes(g, n + 1, "nondegenerate",
+                                           prefix=front))
 
         return _image_quotient(len(here), progress.cycle_rank, columns(),
                                progress)

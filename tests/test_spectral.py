@@ -526,11 +526,22 @@ def test_h2_sequence_solid_cube():
 # streaming slice homology
 # ---------------------------------------------------------------------------
 
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def test_quotient_homology_matches_page(sphere4):
     graphs = [(cycle_graph(5), None), (cycle_graph(6), None),
               (cycle_graph(7), None), (complete_bipartite_graph(2, 3), None),
               (hypercube_graph(3), None), (petersen(), None),
               (greene_sphere(4), sphere4)]
+    # the pinned cofaces that lead each front's stream follow the labeling
+    graphs += [(_relabeled(g, seed), None)
+               for g in (complete_bipartite_graph(2, 3), hypercube_graph(3),
+                         petersen())
+               for seed in (1, 2)]
     for g, c in graphs:
         page = e1_page(c or normalized_complex(g, 3), 2)
         for n in range(3):
@@ -569,6 +580,44 @@ def test_full_stream_hands_over_every_column_once(monkeypatch, sphere4):
     assert seen["progress"].pulled == len(c.basis[3]) == 21552
 
 
+@pytest.mark.parametrize("name", ["c5", "k23", "sphere4"])
+def test_pinned_cofaces_lead_each_front_stream(name):
+    # each front's stream is its lexicographic coface stream, reordered so
+    # that the cofaces whose corner 2^n repeats corner 0 come first
+    g = {"c5": cycle_graph(5), "k23": complete_bipartite_graph(2, 3),
+         "sphere4": greene_sphere(4)}[name]
+    pinned_total = 0
+    for n in range(3):
+        for front in cubes.singular_cubes(g, n, "nondegenerate"):
+            cofaces = list(cubes.singular_cubes(g, n + 1, "nondegenerate",
+                                                prefix=front))
+            pinned = [c for c in cofaces if c[1 << n] == front[0]]
+            rest = [c for c in cofaces if c[1 << n] != front[0]]
+            assert list(spectral._pinned_first(g, n, front)) == pinned + rest
+            # the pinned 1-cube (v, v) is degenerate
+            assert n > 0 or not pinned
+            pinned_total += len(pinned)
+    assert pinned_total > 0
+
+
+def test_e11_of_a_greene_sphere_saturates_in_the_first_round(monkeypatch):
+    # one pinned coface per slice front (304 columns) reaches the cycle
+    # rank modulo 2 on each of these labelings, which pulls 330-337
+    # cubes; the plain lexicographic order pulled 1,338-2,249
+    seen = {}
+    image_quotient = spectral._image_quotient
+
+    def record(ncols, cycle_rank, columns, progress):
+        seen["progress"] = progress
+        return image_quotient(ncols, cycle_rank, columns, progress)
+
+    monkeypatch.setattr(spectral, "_image_quotient", record)
+    for seed in range(4):
+        assert quotient_homology(_relabeled(greene_sphere(4), seed),
+                                 1, 2).is_trivial
+        assert seen["progress"].pulled <= 350, seed
+
+
 def _hand_built(columns, ncols, cycle_rank):
     """`_image_quotient` on literal columns, in the order given."""
     return _image_quotient(ncols, cycle_rank, iter(columns),
@@ -585,11 +634,11 @@ def test_image_quotient_full_gf2_rank_with_a_non_unit_pivot():
         == (0, (3,))
 
 
-def test_replay_with_a_non_unit_pivot_on_a_path(monkeypatch):
-    # found by search: on this labeling of the path 0-2-3-1 the GF(2)
-    # filter reaches the cycle rank of E1[1,2], the exact replay keeps a
-    # non-unit pivot, and the exact pass then saturates the image.  The
-    # full first page (447,342 4-cubes, minutes) also gives E1[1,2] = 0.
+def test_replay_with_a_non_unit_pivot_on_a_small_graph(monkeypatch):
+    # found by search (no labeling of the paths on 4 or 5 vertices does it
+    # under the pinned-first stream): on this graph the GF(2) filter
+    # reaches the cycle rank of E1[1,1], the exact replay keeps a non-unit
+    # pivot, and the exact pass then saturates the image
     checks, gf2_rank = [], [0]
     unit, add = Echelon.has_unit_pivots, GF2Echelon.add
 
@@ -604,10 +653,11 @@ def test_replay_with_a_non_unit_pivot_on_a_path(monkeypatch):
 
     monkeypatch.setattr(Echelon, "has_unit_pivots", has_unit_pivots)
     monkeypatch.setattr(GF2Echelon, "add", gf2_add)
-    g = Graph(4, [(0, 2), (2, 3), (3, 1)])
-    assert quotient_homology(g, 1, 3).is_trivial
+    g = Graph(5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    assert quotient_homology(g, 1, 2).is_trivial
     # the first saturation check is the replay's, at the GF(2) rank
     assert checks[0] == (gf2_rank[0], False)
+    assert e1_page(normalized_complex(g, 3), 2).entry(1, 1).is_trivial
 
 
 def test_image_quotient_streams_dry_below_the_cycle_rank():
