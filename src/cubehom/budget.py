@@ -1,11 +1,12 @@
 """Soft time budgets for long-running computations.
 
 A budget is a wall-clock deadline checked cooperatively from inner loops
-(cube enumeration, echelon reduction).  When the deadline passes, the
-current operation raises BudgetExhausted; callers report partial results
-as incomplete instead of returning silently truncated answers.  Every
-computation runs in the calling process, so one module-level deadline
-covers all of it.
+(cube enumeration, echelon reduction); the walks and row loops read the
+clock on their first node or row and then on every 64th, so a stop lands
+within 64 nodes or rows.  When the deadline passes, the current operation
+raises BudgetExhausted; callers report partial results as incomplete
+instead of returning silently truncated answers.  Every computation runs
+in the calling process, so one module-level deadline covers all of it.
 """
 
 import time

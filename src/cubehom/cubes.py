@@ -122,6 +122,17 @@ def subcube_getters(n):
     return tuple(levels)
 
 
+_degree_tables = {}  # corner count -> (n, levels worth trying per count)
+
+
+def _degree_table(n):
+    """(n, per distinct-corner count d, the (k, 2^k, getters) of the
+    subcube levels with 2 <= k and 2^k <= d, largest k first)."""
+    levels = [(k, 1 << k, getters) for k, getters in subcube_getters(n)]
+    return n, tuple(tuple(levels[n + 1 - d.bit_length():-1])
+                    for d in range(1 << n))
+
+
 def cube_degree(corners):
     """Largest dimension of an injective iterated face.
 
@@ -131,23 +142,24 @@ def cube_degree(corners):
     assignment of the fixed ones.
 
     A k-subcube with distinct corners needs 2^k distinct corners in the
-    cube, so only the levels with 2^k at most the cube's count are tried.
-    Two distinct corners are joined by a path of cube edges, one of which
-    joins distinct corners, so such a cube has degree at least 1.
+    cube, so only the levels with 2^k at most the cube's count are tried,
+    read from a table kept per corner count.  Two distinct corners are
+    joined by a path of cube edges, one of which joins distinct corners,
+    so such a cube has degree at least 1.
     """
-    n = cube_dim(corners)
+    size = len(corners)
+    try:
+        n, levels = _degree_tables[size]
+    except KeyError:
+        n, levels = _degree_tables[size] = _degree_table(cube_dim(corners))
     distinct = len(set(corners))
-    if distinct == len(corners):
+    if distinct == size:
         return n
-    if distinct == 1:
-        return 0
-    # levels run k = n down to 1; start at the largest k with 2^k <= distinct
-    for k, getters in subcube_getters(n)[n + 1 - distinct.bit_length():-1]:
-        size = 1 << k
+    for k, need, getters in levels[distinct]:
         for get in getters:
-            if len(set(get(corners))) == size:
+            if len(set(get(corners))) == need:
                 return k
-    return 1
+    return 0 if distinct == 1 else 1
 
 
 def canonical_parametrization(corners):
@@ -192,16 +204,23 @@ def _degenerate_ban(n):
     to be nondegenerate, as a function of its corners.  Coordinate i's
     faces coincide iff corners b and b + 2^(i-1) agree for every b without
     bit i-1; when every such pair but the last corner's agrees, the last
-    corner must differ from its partner 2^n - 1 - 2^(i-1)."""
+    corner must differ from its partner 2^n - 1 - 2^(i-1).  The pairs are
+    compared in turn, up to the first that differs."""
     last = (1 << n) - 1
-    tests = []
-    for bit in (1 << i for i in range(n)):
-        front = [b for b in range(last) if not b & bit and b != last ^ bit]
-        # corner 0 on both sides keeps the getters nonempty at n = 1
-        tests.append((itemgetter(0, *front),
-                      itemgetter(0, *[b | bit for b in front]), last ^ bit))
-    return lambda corners: {corners[j] for front, back, j in tests
-                            if front(corners) == back(corners)}
+    tests = tuple((tuple((b, b | bit) for b in range(last)
+                         if not b & bit and b != last ^ bit), last ^ bit)
+                  for bit in (1 << i for i in range(n)))
+
+    def ban(corners):
+        out = set()
+        for pairs, j in tests:
+            for a, b in pairs:
+                if corners[a] != corners[b]:
+                    break
+            else:
+                out.add(corners[j])
+        return out
+    return ban
 
 
 def _avoid_table(avoid, size):
@@ -252,6 +271,9 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
     The filters are bans too: "injective" drops the used vertices from
     every candidate set, "nondegenerate" drops from the last corner's the
     vertices that would make two opposite faces equal (`_degenerate_ban`).
+    The last corner takes no stack frame: its candidates are yielded in
+    sorted order.  The clock (`checkpoint`) is read on the walk's first
+    node and then on every 64th, so a stop lands within 64 nodes.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
@@ -260,37 +282,41 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
         raise ValueError(f"a prefix of {n}-cubes has 1..{size} corners, "
                          f"not {len(prefix)}")
     inject = filt == "injective"
-    nondeg = _degenerate_ban(n) if _cube_filter(n, filt) else None
+    nondeg = _degenerate_ban(n) if filt == "nondegenerate" else None
+    if not (inject or nondeg or filt == "all"):
+        raise ValueError(f"unknown filter {filt!r}")
     ban = _avoid_table(avoid, size) if avoid else None
     closed = g.closed
     lower = _lower_neighbors(n)
+    last = size - 1
     corners = [0] * size
-    # stack of candidate iterators, one per corner position
-    stack = [None] * size
+    # stack of candidate iterators, one per corner position below the last
+    stack = [None] * last
+    tick = 0
     for root in ([(v,) for v in range(g.n)] if prefix is None else (prefix,)):
         # pin all but the last prefix corner; the walk starts by placing
         # the last one, its only candidate
         k = len(root) - 1
-        corners[:k] = root[:k]
-        used = set(root[:k])
-        if inject and (len(used) < k or root[k] in used):
-            continue
+        if inject:
+            used = set(root[:k])
+            if len(used) < k or root[k] in used:
+                continue
         if ban and any(root[c] == w and get(root) == want
                        for c in range(k + 1) for get, want, w in ban[c]):
             continue
-        if nondeg and k + 1 == size and root[k] in nondeg(root):
+        if k == last:
+            if not (nondeg and root[k] in nondeg(root)):
+                yield tuple(root)
             continue
+        corners[:k] = root[:k]
         b = k
         stack[k] = iter((root[k],))
         while b >= k:
-            checkpoint()
-            it = stack[b]
-            advanced = False
-            for v in it:
+            if not tick & 63:
+                checkpoint()
+            tick += 1
+            for v in stack[b]:
                 corners[b] = v
-                if b + 1 == size:
-                    yield tuple(corners)
-                    continue
                 first, rest = lower[b + 1]
                 cand = closed[corners[first]]
                 for cidx in rest:
@@ -301,19 +327,26 @@ def singular_cubes(g, n, filt="all", prefix=None, avoid=()):
                     for get, want, w in ban[b + 1]:
                         if w in cand and get(corners) == want:
                             cand = cand - {w}
-                if nondeg and b + 2 == size and cand:
+                if nondeg and b + 1 == last and cand:
                     cand = cand - nondeg(corners)
                 if inject and cand:
                     used.add(v)
                     cand = cand - used
                     if not cand:
                         used.discard(v)
-                if cand:
-                    b += 1
-                    stack[b] = iter(sorted(cand))
-                    advanced = True
-                    break
-            if not advanced:
+                if not cand:
+                    continue
+                if b + 1 == last:
+                    for w in sorted(cand):
+                        corners[last] = w
+                        yield tuple(corners)
+                    if inject:
+                        used.discard(v)
+                    continue
+                b += 1
+                stack[b] = iter(sorted(cand))
+                break
+            else:
                 b -= 1
                 if inject and b >= k:
                     used.discard(corners[b])

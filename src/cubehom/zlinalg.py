@@ -245,7 +245,8 @@ def gf2_pick(rows, gf2, rank=None):
         r = next(rows, None)
         if r is None:
             break
-        checkpoint()
+        if not (len(picked) + len(rejected)) & 63:
+            checkpoint()
         (picked if gf2.add(r) else rejected).append(r)
     return picked, rejected
 
@@ -290,8 +291,9 @@ def echelon_from_rows(rows, ncols):
     if not callable(rows) and not isinstance(rows, Sequence):
         rows = list(rows)
     gf2, picked, norm = GF2Echelon(), [], 0
-    for r in rows() if callable(rows) else rows:
-        checkpoint()
+    for i, r in enumerate(rows() if callable(rows) else rows):
+        if not i & 63:
+            checkpoint()
         size = sum(map(abs, r.values()))
         if size > norm:
             norm = size
@@ -301,8 +303,9 @@ def echelon_from_rows(rows, ncols):
     replay(ech, picked)
     del gf2, picked  # pass 2 holds nothing of pass 1
     table = _certificate(ech, norm) if ech.has_unit_pivots() else {}
-    for r in rows() if callable(rows) else rows:
-        checkpoint()
+    for i, r in enumerate(rows() if callable(rows) else rows):
+        if not i & 63:
+            checkpoint()
         try:
             if not _packed_sum(r, table):
                 continue

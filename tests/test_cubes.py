@@ -13,6 +13,7 @@ from cubehom.cubes import (
     MINUS,
     PLUS,
     _cube_filter,
+    _degenerate_ban,
     cube_degree,
     cube_dim,
     canonical_parametrization,
@@ -245,6 +246,29 @@ def test_degree_matches_oracle_on_random_corners(n):
         for j in range(1, n + 1):
             assert (d >= j) == _oracle_injective_subcube(corners, n, j)
     assert seen == set(range(n + 1))
+
+
+def test_degree_table_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(cubes, "_degree_tables", {})
+    rng = random.Random(2026)
+    for n in range(7):
+        for _ in range(40):
+            corners = _random_corners(rng, n)
+            cubes._degree_tables.clear()
+            cold = cube_degree(corners)
+            assert set(cubes._degree_tables) == {1 << n}
+            assert cube_degree(corners) == cold == _oracle_degree(corners)
+
+
+def test_degree_rejects_bad_lengths_and_stores_nothing(monkeypatch):
+    tables = {}
+    monkeypatch.setattr(cubes, "_degree_tables", tables)
+    for stored in (set(), {4}):
+        for length in (0, 3, 6):
+            with pytest.raises(ValueError, match="power of two"):
+                cube_degree(tuple(range(length)))
+        assert set(tables) == stored
+        assert cube_degree((0, 1, 1, 0)) == 1
 
 
 def _table_degree(corners):
@@ -532,6 +556,9 @@ def test_bad_prefix_or_avoid_rejected(kwargs, match):
     ("K_{2,3}", lambda: complete_bipartite_graph(2, 3), 3),
     ("greene-sphere(4)", lambda: greene_sphere(4), 2),
     ("Q3", lambda: hypercube_graph(3), 3),
+    ("C5", lambda: cycle_graph(5), 1),
+    # all 65,536 maps of I^4 onto an edge's ends are graph maps
+    ("one edge", k2, 4),
 ])
 def test_filter_predicates_match_the_all_stream(name, graph, n):
     g = graph()
@@ -545,6 +572,41 @@ def test_filter_predicates_match_the_all_stream(name, graph, n):
         assert [c for c in every if keep(c)] == want
         assert list(singular_cubes(g, n, filt)) == want
     assert _cube_filter(n, "all") is None
+
+
+def _tuple_ban(n, corners):
+    """The degenerate ban by whole-tuple comparison: per coordinate, the
+    corners without its bit (but the last corner's partner) against their
+    partners, both padded with corner 0 so that n = 1 compares ()."""
+    last = (1 << n) - 1
+    out = set()
+    for bit in (1 << i for i in range(n)):
+        front = [b for b in range(last) if not b & bit and b != last ^ bit]
+        if (tuple(corners[b] for b in [0] + front)
+                == tuple(corners[b] for b in [0] + [b | bit for b in front])):
+            out.add(corners[last ^ bit])
+    return out
+
+
+@pytest.mark.parametrize("name,graph,n", [
+    ("C5", lambda: cycle_graph(5), 1),
+    ("C5", lambda: cycle_graph(5), 2),
+    ("C5", lambda: cycle_graph(5), 3),
+    ("one edge", k2, 1),
+    ("one edge", k2, 2),
+    ("one edge", k2, 3),
+    ("one edge", k2, 4),
+])
+def test_degenerate_ban_matches_the_tuple_comparison(name, graph, n):
+    ban = _degenerate_ban(n)
+    prefixes = {c[:-1] for c in singular_cubes(graph(), n)}
+    assert prefixes
+    banned = 0
+    for prefix in prefixes:
+        got = ban(prefix)
+        assert got == _tuple_ban(n, prefix), prefix
+        banned += bool(got)
+    assert banned
 
 
 def test_unknown_filter_rejected():
@@ -603,6 +665,67 @@ def test_cube_subgraphs_stop_on_budget():
     with time_budget(0):
         with pytest.raises(BudgetExhausted):
             cube_subgraphs(hypercube_graph(6), 3)
+
+
+class _SpyClosed(list):
+    """Closed neighbourhoods that count how often the walk reads them."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return list.__getitem__(self, v)
+
+
+def _spied(g):
+    spy = Graph(g.n, g.edges())
+    spy.closed = _SpyClosed(g.closed)
+    return spy
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"prefix": (0,)},
+                                    {"prefix": (0, 1)}])
+def test_walk_reads_the_clock_on_its_first_node(kwargs):
+    g = _spied(hypercube_graph(4))
+    stream = singular_cubes(g, 3, "nondegenerate", **kwargs)
+    with time_budget(-1):
+        with pytest.raises(BudgetExhausted):
+            next(stream)
+    # the clock is read before the first node looks up a neighbourhood
+    assert g.closed.reads == 0
+
+
+@pytest.mark.parametrize("filt", ["all", "injective", "nondegenerate"])
+def test_walk_under_a_distant_deadline_is_unchanged(filt):
+    g = hypercube_graph(3)
+    want = list(singular_cubes(g, 3, filt))
+    front = next(c for c in want if c[0] != c[1])[:2]
+    with time_budget(3600):
+        assert list(singular_cubes(g, 3, filt)) == want
+        assert list(singular_cubes(g, 3, filt, prefix=front)) == \
+            [c for c in want if c[:2] == front]
+
+
+def test_walk_reads_the_clock_every_64_nodes(monkeypatch):
+    # read on every node, the clock would stop the walk on its second
+    # node, corner 1, before any cube; read on every 64th, cubes come out
+    # first, and they are the head of the stream
+    g = greene_sphere(6)
+    every = list(singular_cubes(g, 3, "nondegenerate"))
+    calls = [0]
+
+    def stop_on_second():
+        calls[0] += 1
+        if calls[0] == 2:
+            raise BudgetExhausted("soft time budget exhausted")
+
+    monkeypatch.setattr(cubes, "checkpoint", stop_on_second)
+    got = []
+    with pytest.raises(BudgetExhausted):
+        for c in singular_cubes(g, 3, "nondegenerate"):
+            got.append(c)
+    assert 0 < len(got) < len(every)
+    assert got == every[:len(got)]
 
 
 def test_cube_subgraph_reps_are_lex_minimal():

@@ -17,6 +17,7 @@ from cubehom.zlinalg import (
     axpy,
     cokernel_of,
     echelon_from_rows,
+    gf2_pick,
     homology_at,
     image_of,
     is_surjective,
@@ -770,6 +771,65 @@ def test_echelon_from_rows_adds_only_the_gf2_picks(monkeypatch, gs4):
     assert ech.rank == 344 and len(adds) == 344
     monkeypatch.undo()
     assert ech.pivots == _sequential_echelon(c.columns[3], c.dim(2)).pivots
+
+
+def _counting_source(rows, pulled):
+    """A source of `rows` that counts the rows pulled from it."""
+    def source():
+        for r in rows:
+            pulled[0] += 1
+            yield r
+    return source
+
+
+def test_row_loops_read_the_clock_on_their_first_row(gs4):
+    rows = [gs4.columns[3][j] for j in range(200)]
+    pulled = [0]
+    set_time_budget(-1)
+    try:
+        with pytest.raises(BudgetExhausted):
+            echelon_from_rows(_counting_source(rows, pulled), gs4.dim(2))
+        assert pulled[0] == 1
+        pulled[0] = 0
+        with pytest.raises(BudgetExhausted):
+            gf2_pick(_counting_source(rows, pulled)(), GF2Echelon())
+        assert pulled[0] == 1
+    finally:
+        clear_time_budget()
+
+
+def test_row_loops_read_the_clock_every_64_rows(monkeypatch, gs4):
+    # the second read comes with the 65th row, in echelon_from_rows'
+    # first pass, which adds nothing exactly, and in gf2_pick
+    rows = gs4.columns[3]
+    calls = [0]
+
+    def stop_on_second():
+        calls[0] += 1
+        if calls[0] == 2:
+            raise BudgetExhausted("soft time budget exhausted")
+
+    monkeypatch.setattr(zlinalg, "checkpoint", stop_on_second)
+    for run in (lambda src: echelon_from_rows(src, gs4.dim(2)),
+                lambda src: gf2_pick(src(), GF2Echelon())):
+        calls[0], pulled = 0, [0]
+        with pytest.raises(BudgetExhausted):
+            run(_counting_source(rows, pulled))
+        assert pulled[0] == 65
+
+
+def test_row_loops_under_a_distant_deadline_are_unchanged(gs4):
+    rows, ncols = gs4.columns[3], gs4.dim(2)
+    want = echelon_from_rows(rows, ncols)
+    rank = want.rank
+    picks = gf2_pick(iter(rows), GF2Echelon(), rank)
+    set_time_budget(3600)
+    try:
+        got = echelon_from_rows(rows, ncols)
+        assert (got.rows, got.pivots) == (want.rows, want.pivots)
+        assert gf2_pick(iter(rows), GF2Echelon(), rank) == picks
+    finally:
+        clear_time_budget()
 
 
 # ---------------------------------------------------------------------------
