@@ -47,7 +47,7 @@ from .spectral import (
     injective_homology,
     page_to_json,
 )
-from .zlinalg import ContractViolation
+from .zlinalg import ContractViolation, group_str
 
 EXIT_CODES = {"complete": 0, "incomplete": 2, "error": 3}
 
@@ -57,12 +57,8 @@ def _group_doc(g):
 
 
 def _group_str(doc):
-    """The group of a `_group_doc` document, written as `str(AbelianGroup)`
-    writes it."""
-    rank = doc["rank"]
-    parts = ([] if not rank else ["Z"] if rank == 1 else [f"Z^{rank}"])
-    parts += [f"Z/{t}" for t in doc["torsion"]]
-    return " + ".join(parts) or "0"
+    """The group of a `_group_doc` document, as `str(AbelianGroup)`."""
+    return group_str(doc["rank"], doc["torsion"])
 
 
 def _load_graph(args):

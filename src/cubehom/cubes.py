@@ -97,7 +97,7 @@ def iter_faces(corners):
 
 def is_degenerate(corners):
     """True iff the front and back i-faces coincide for some i."""
-    return not _cube_filter(cube_dim(corners), "nondegenerate")(corners)
+    return corners[-1] in _degenerate_ban(cube_dim(corners))(corners)
 
 
 def is_injective(corners):
@@ -185,18 +185,6 @@ def canonical_parametrization(corners):
 # ---------------------------------------------------------------------------
 # enumeration of singular cubes
 # ---------------------------------------------------------------------------
-
-def _cube_filter(n, filt):
-    """The test of `filt` on whole n-cubes; None when the walk alone
-    decides: "all", and "injective", which the walk keeps injective as it
-    goes.  The walk decides "nondegenerate" too, by `_degenerate_ban`."""
-    if filt in ("all", "injective"):
-        return None
-    if filt == "nondegenerate":
-        ban = _degenerate_ban(n)
-        return lambda corners: corners[-1] not in ban(corners)
-    raise ValueError(f"unknown filter {filt!r}")
-
 
 @lru_cache(maxsize=None)
 def _degenerate_ban(n):

@@ -15,8 +15,8 @@ with the degree-filtration world.
 from itertools import islice
 
 from .budget import DimensionBudgetError
-from .chains import block, normalized_complex
-from .cubes import canonical_parametrization, face_getters, subgraph_levels
+from .chains import _signed_faces, block, normalized_complex
+from .cubes import canonical_parametrization, subgraph_levels
 from .monophobic import is_quasimonophobic
 from .spectral import _injective_cover, bottom_edge_group, edge_map
 from .zlinalg import (
@@ -80,14 +80,12 @@ def build_cw_complex(g, max_dim, levels=None):
         cols = []
         for q in cells[n]:
             col = {}
-            for t, get in enumerate(face_getters(n)):
+            for t, (get, sgn) in enumerate(_signed_faces(n)):
                 face = get(q.rep)
                 # a front face (t even) of a canonical parametrization is
                 # canonical: its corner 0 and its neighbours are the cell's
                 det, rep = (canonical_parametrization(face) if t & 1
                             else (1, face))
-                # face (i, side) sits in slot t = 2(i-1) + side
-                sgn = -1 if t & 1 == (t >> 1) & 1 else 1
                 col[below[rep]] = sgn * det
             cols.append(col)
         columns.append(cols)

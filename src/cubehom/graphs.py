@@ -44,9 +44,6 @@ class Graph:
     def edge_count(self):
         return sum(len(s) for s in self.nbrs) // 2
 
-    def adjacent(self, u, v):
-        return v in self.closed[u] and u != v
-
     def degree(self, v):
         return len(self.nbrs[v])
 

@@ -35,33 +35,20 @@ witness is the same.  The back face needs its own test at each candidate
 left, since it can be supported without a fold: in the 4-cube graph
 with q = (0, 1, 2, 3), beta = (1, 3, 0, 2) is a quarter turn of q.
 
-Local lemma, quasi mode: a rigid edge or square Q passes if no vertex
-outside Q neighbours two corners of Q, and `check_cube` skips its walk.
-Write N[v] for closed neighbourhoods and x_b = beta(b); a witness is a
-noninjective candidate with no fold and an unsupported back face.
-Edge q = (a, b): Q passes iff N[a] & N[b] = {a, b}.  A common neighbour
-w gives the witness x = (w, w), whose other faces hit w.  Without one,
-x0 = x1 is impossible off the folds x0 = b and x1 = a, so x0 = a or
-x1 = b, and then x = q: N[a] & N[b] - {a} = {b}, and likewise.
-Square q = (q0, q1, q2, q3), edges q0q1, q0q2, q1q3, q2q3: with (T)
-N[a] & N[b] = {a, b} on each edge, Q passes iff (H) N[q0] & N[q3] =
-{q1, q2} and N[q1] & N[q2] = {q0, q3}.  An outside w in N[q0] & N[q3]
-gives the witness x = (q0, q0, q0, w), one in N[q1] & N[q2] gives
-x = (q1, q1, w, q1): every other face hits w or two vertices.  Under (T)
-and (H), which say that no outside vertex neighbours two corners, the
-folds are (x0, x2) = (q1, q3), (x1, x3) = (q0, q2), (x0, x1) = (q2, q3)
-and (x2, x3) = (q0, q1).  A repeat x_b = x_c outside Q would break (T)
-or (H), so a noninjective candidate has some x_b in Q, and a symmetry
-of the square (it keeps candidates, folds and supported faces) makes
-x0 in {q0, q1, q2}.  x0 = q0 puts x1 in {q0, q1}, x2 in {q0, q2}:
-x1 = q0 leaves x3 in {q1, q2}, q2 a fold and q1 forcing the fold
-x2 = q0; (x1, x2) = (q1, q0) leaves the fold x3 = q1; (q1, q2) leaves
-x = q.  x0 = q1 puts x2 in {q0, q3}, q3 a fold; x2 = q0 leaves x3 in
-{q1, q2}, q1 a fold; x3 = q2 puts x1 in {q0, q3}, q0 a fold and q3 the
-quarter turn (q1, q3, q0, q2).  x0 = q2 is x0 = q1 with q1, q2 swapped.
-q and the quarter turn support the back face: no witness.  The walk
-decides failing cubes, whose witness stays the first in walk order, and
-squares with a triangle on an edge, which can pass or fail.
+Local lemma, quasi mode: a rigid n-cube Q passes if no vertex outside
+Q neighbours two corners of Q, and `check_cube` skips its walk for n up
+to LOCAL_MAX_DIM.  Proof, by reduction to the prism Q_{n+1} = Q_n x K_2
+with front face Q_n and p_b the back copy of corner b: send q(b) to b,
+and a candidate's back corner x_b to d if x_b = q(d) (d is b or a cube
+neighbour of b, by rigidity) and to p_b if x_b is outside Q, where it
+neighbours q(b) alone.  The map is injective on the candidate's
+vertices, keeps its edges (an outside x_b next to some x_c = q(d)
+forces d = b), and sends the faces that hit exactly Q's vertices to the
+faces that hit exactly Q_n's.  So a noninjective witness for Q gives
+one for the front face of Q_{n+1}, which passes for n <= LOCAL_MAX_DIM
+by its walk (a test checks it).  In monophobic mode the prism's back
+face is an injective witness, so the lemma is quasi only.  Failing cubes
+are walked, so each emitted witness is still the first in walk order.
 """
 
 from .budget import checkpoint
@@ -74,6 +61,9 @@ from .cubes import (
     singular_cubes,
     validate_cube,
 )
+
+# the largest n for which a test walks the prism's front face (local lemma)
+LOCAL_MAX_DIM = 4
 
 
 class CubeCheck:
@@ -100,16 +90,11 @@ class MonoReport:
 
 
 def is_rigid(g, q):
-    """True iff the vertex set of q induces exactly q's edges in g."""
-    verts = q.vertices
-    edges = set(q.edges)
-    for a in range(len(verts)):
-        u = verts[a]
-        for b in range(a + 1, len(verts)):
-            v = verts[b]
-            if (g.adjacent(u, v)) != ((u, v) in edges):
-                return False
-    return True
+    """True iff the vertex set of q induces exactly q's edges in g: each
+    corner has its n cube neighbours in q, so q is induced iff no corner
+    has more."""
+    verts = set(q.vertices)
+    return all(len(g.closed[v] & verts) == q.dim + 1 for v in verts)
 
 
 def supported_face_count(tau, q):
@@ -140,8 +125,8 @@ def _is_quasi(mode):
 
 
 def _passes_locally(g, rep):
-    """True if no vertex outside the rigid edge or square `rep` neighbours
-    two of its corners, so that it passes in quasi mode (local lemma)."""
+    """True if no vertex outside the rigid cube `rep` neighbours two of
+    its corners, so that it passes in quasi mode (local lemma)."""
     checkpoint()
     outside = [g.closed[v].difference(rep) for v in rep]
     return sum(map(len, outside)) == len(set().union(*outside))
@@ -158,7 +143,7 @@ def check_cube(g, q, mode="quasimonophobic"):
     if not is_rigid(g, q):
         return False, None
     rep = q.rep
-    if quasi and q.dim in (1, 2) and _passes_locally(g, rep):
+    if quasi and q.dim <= LOCAL_MAX_DIM and _passes_locally(g, rep):
         return True, None
     size = len(rep)
     verts = set(rep)

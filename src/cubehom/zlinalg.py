@@ -575,16 +575,16 @@ class AbelianGroup:
         return self.invariants() == other.invariants()
 
     def __str__(self):
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        return group_str(self.free_rank, self.torsion)
 
     def __repr__(self):
         return f"AbelianGroup({self})"
+
+
+def group_str(rank, torsion):
+    """The group Z^rank + Z/t1 + ... written out, "0" when trivial."""
+    parts = [] if not rank else ["Z"] if rank == 1 else [f"Z^{rank}"]
+    return " + ".join(parts + [f"Z/{t}" for t in torsion]) or "0"
 
 
 class ContractViolation(AssertionError):

@@ -206,9 +206,14 @@ def test_check_cube_matches_brute_force(name, g):
 
 
 def _local_lemma(g, q):
-    """The edge and square lemmas of the `monophobic` docstring for rigid
-    q in quasi mode: (True, None), (False, the witness they build), or
-    None for a square with a triangle on an edge."""
+    """The quasi-mode verdict of a rigid edge or square q from its
+    neighbourhoods alone, which shows that for these the condition of the
+    local lemma is also necessary: (True, None) when no outside vertex
+    neighbours two corners, else (False, a witness).  A common neighbour
+    w of edge (a, b) gives (a, b, w, w); an outside w next to q0 and q3
+    gives the back corners (q0, q0, q0, w), one next to q1 and q2 gives
+    (q1, q1, w, q1): every other face hits w or two vertices.  None for a
+    square with a triangle on an edge, which the walk decides."""
     rep = q.rep
 
     def common(a, b):
@@ -228,14 +233,17 @@ def _local_lemma(g, q):
     return True, None
 
 
-def _check_local_lemma(g, tally):
-    for n in (1, 2):
+def _check_local_lemma(g, tally, dims=(1, 2)):
+    for n in dims:
         for q in cube_subgraphs(g, n):
             rigid = is_rigid(g, q)
             for mode in ("monophobic", "quasimonophobic"):
                 want = _oracle_check(g, q, mode) if rigid else (False, None)
                 assert check_cube(g, q, mode) == want
             if not rigid:
+                continue
+            if n > 2:
+                tally[n, monophobic._passes_locally(g, q.rep)] += 1
                 continue
             lemma = _local_lemma(g, q)
             tally[n, lemma and lemma[0]] += 1
@@ -276,15 +284,49 @@ def test_local_lemma_every_small_graph():
                           (2, True), (2, False), (2, None)}
 
 
-@pytest.mark.parametrize("triangles", [False, True],
-                         ids=["triangle-free", "with-triangles"])
-def test_local_lemma_random_graphs(triangles):
-    rng = random.Random(2323 + triangles)
+def _cube_plus(rng, dim):
+    """The dim-cube with one to three extra vertices, each joined to one
+    to three earlier vertices."""
+    cube = hypercube_graph(dim)
+    order = cube.n + rng.randint(1, 3)
+    return Graph(order, cube.edges() + [
+        (v, w) for w in range(cube.n, order)
+        for v in rng.sample(range(w), rng.randint(1, 3))])
+
+
+# family: (seed, graph count, graph maker, top dimension n checked)
+RANDOM_FAMILIES = {
+    "triangle-free": (2323, 60, lambda rng: _random_graph(
+        rng, rng.randint(6, 11), False), 2),
+    "with-triangles": (2324, 60, lambda rng: _random_graph(
+        rng, rng.randint(6, 11), True), 2),
+    "Q3": (2730, 40, lambda rng: _cube_plus(rng, 3), 3),
+    "Q4": (2731, 6, lambda rng: _cube_plus(rng, 4), 4),
+}
+
+
+@pytest.mark.parametrize("family", RANDOM_FAMILIES)
+def test_local_lemma_random_graphs(family):
+    # dimensions n - 1 and n against the oracle, in both modes
+    seed, count, make, n = RANDOM_FAMILIES[family]
+    rng = random.Random(seed)
     tally = Counter()
-    for _ in range(60):
-        _check_local_lemma(_random_graph(rng, rng.randint(6, 11), triangles),
-                           tally)
-    assert tally[2, True] and tally[2, False]
+    for _ in range(count):
+        _check_local_lemma(make(rng), tally, (n - 1, n))
+    # cubes the lemma passes, and cubes that fail its condition
+    assert tally[n, True] and tally[n, False]
+
+
+def test_local_lemma_base_case(monkeypatch):
+    # the prism's front face passes without the lemma, up to the largest
+    # dimension the lemma serves; in monophobic mode it fails
+    monkeypatch.setattr(monophobic, "_passes_locally", lambda g, rep: False)
+    for n in range(monophobic.LOCAL_MAX_DIM + 1):
+        g = hypercube_graph(n + 1)
+        q = next(q for q in cube_subgraphs(g, n)
+                 if q.rep == tuple(range(1 << n)))
+        assert check_cube(g, q) == (True, None)
+        assert not check_cube(g, q, "monophobic")[0]
 
 
 def test_back_face_is_not_a_fold():
@@ -326,14 +368,19 @@ def test_fold_patterns_prune_the_coface_walk(monkeypatch):
 
 def test_local_lemma_skips_the_walk(monkeypatch):
     walks = _record_walks(monkeypatch)
-    assert check_graph(hypercube_graph(7), 2).overall
-    assert check_graph(hypercube_graph(7), 1).overall
+    for n in (1, 2, 3):
+        assert check_graph(hypercube_graph(7), n).overall
     assert walks == []
-    # the lemma covers edges and squares in quasi mode only
-    assert check_graph(hypercube_graph(4), 3).overall
-    assert len(walks) == 8
+    # the lemma stops at LOCAL_MAX_DIM = 4: the 5-cube is walked
+    assert check_graph(hypercube_graph(5), 5).overall
+    assert len(walks) == 1
+    # a vertex next to corners 0 and 3 breaks the condition: walked, passes
+    q3_plus = Graph(9, hypercube_graph(3).edges() + [(0, 8), (3, 8)])
+    assert check_graph(q3_plus, 3).overall
+    assert len(walks) == 2
+    # the lemma serves quasi mode only
     assert not check_graph(hypercube_graph(3), 2, "monophobic").overall
-    assert len(walks) == 8 + 6
+    assert len(walks) == 2 + 6
 
 
 def test_failing_squares_still_walk_to_their_witness(monkeypatch):
