@@ -7,48 +7,49 @@ carries its degree (largest injective iterated-face dimension), so the
 filtration subcomplexes and their quotients are basis restrictions.
 
 A complex is stored in flat arrays, built one chunk of cubes at a time:
-each basis is one int array of corners, each boundary a row array, an
-int8 coefficient array and an array of column ends, and each degree list
-an int8 array.  `Packed` hides the format: indexing or iterating it gives
+each basis is one int array of corners, each boundary one int array of
+face positions, 2n per n-cube with -1 for a degenerate face and a fixed
+sign per slot (`face_signs`), and each degree list an int8 array.
+`Packed` hides the format: indexing or iterating it gives
 a corner tuple or a fresh sparse column ({row: coeff} dict), which
 `zlinalg` takes as it is; nothing here densifies them.  Every module
 reads a boundary one way, `block`: the full complex, the filtration
 levels F_k C (`filtered_homology`), the degree slices of `spectral` and
 the CW complex all take the block of d_n on the cubes at chosen positions,
-each column restricted to chosen rows only while it is read.  d o d = 0
-is checked where the homology is taken (`zlinalg.subquotient_homology`).
+each column restricted to chosen rows only while it is read, by mapping
+its face positions through one position list.  The image builder reads
+the positions themselves, and makes a dict of a column only to add it
+exactly.  d o d = 0 is checked where the homology is taken
+(`zlinalg.subquotient_homology`).
 """
 
 from array import array
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
-from operator import sub
+from itertools import chain, islice, repeat
 
 from .budget import DimensionBudgetError
 from .cubes import cube_degree, cube_dim, face_getters, singular_cubes
-from .zlinalg import subquotient_homology, subquotient_presentation
+from .zlinalg import SignedRows, merge, subquotient_homology, subquotient_presentation
 
 
-# items packed per chunk: a chunk of tuples or dicts is alive at a time
+# items packed per chunk: a chunk of tuples is alive at a time
 CHUNK = 4096
 
 
 class Packed(Sequence):
-    """A sequence of corner tuples (width 2^n) or of sparse columns (no
-    width) in flat arrays: item i is keys[ends[i]:ends[i + 1]], paired
-    with values[ends[i]:ends[i + 1]] in a column.  Indexing and iterating
-    build a fresh tuple or dict per item; `extend` appends items.  Corners
-    and rows are C ints and coefficients int8: a boundary coefficient of an
-    n-cube is at most 2n in absolute value."""
+    """A sequence of int tuples of one width in a flat array of C ints:
+    item i is keys[width * i:width * (i + 1)].  With `signs`, an item is a
+    row of signed positions that indexing and iterating merge into a fresh
+    sparse column ({row: coeff} dict, `zlinalg.merge`); else they build a
+    fresh tuple.  `extend` appends tuples."""
 
-    __slots__ = ("keys", "values", "ends")
+    __slots__ = ("keys", "width", "signs")
 
-    def __init__(self, width=None, items=()):
+    def __init__(self, width, items=(), signs=None):
         self.keys = array("i")
-        # fixed-width items need no stored ends, a range indexes like one
-        self.values = None if width else array("b")
-        self.ends = range(0, 1, width) if width else array("q", [0])
+        self.width = width
+        self.signs = signs
         self.extend(items)
 
     def extend(self, items):
@@ -56,43 +57,28 @@ class Packed(Sequence):
         items = iter(items)
         while chunk := list(islice(items, CHUNK)):
             self.keys.fromlist(list(chain.from_iterable(chunk)))
-            if self.values is None:
-                self.ends = range(0, len(self.keys) + 1, self.ends.step)
-            else:
-                self.values.fromlist(
-                    list(chain.from_iterable(map(dict.values, chunk))))
-                self.ends.fromlist(list(accumulate(
-                    map(len, chunk), initial=self.ends[-1]))[1:])
 
     def __len__(self):
-        return len(self.ends) - 1
+        return len(self.keys) // self.width
 
     def __getitem__(self, i):
-        ends = self.ends
-        if i < 0:
-            i += len(ends) - 1
-            if i < 0:
-                raise IndexError("Packed index out of range")
-        lo, hi = ends[i], ends[i + 1]
-        if self.values is None:
-            return tuple(self.keys[lo:hi])
-        return dict(zip(self.keys[lo:hi], self.values[lo:hi]))
-
-    def select(self, picked, remap):
-        """The columns at the positions `picked`, each restricted to the
-        rows in `remap` and keyed by remap[row]: one dict per column."""
-        keys, values, ends = self.keys, self.values, self.ends
-        return ({remap[r]: v for r, v in zip(keys[ends[i]:ends[i + 1]],
-                                             values[ends[i]:ends[i + 1]])
-                 if r in remap} for i in picked)
+        if not -len(self) <= i < len(self):
+            raise IndexError("Packed index out of range")
+        item = tuple(self.flat([i % len(self)]))
+        return item if self.signs is None else merge(zip(item, self.signs))
 
     def __iter__(self):
-        # one shared iterator over the flat arrays, cut by the item lengths
-        if self.values is None:
-            return zip(*[iter(self.keys)] * self.ends.step)
-        lengths = map(sub, islice(self.ends, 1, None), self.ends)
-        return map(dict, map(islice, repeat(zip(self.keys, self.values)),
-                             lengths))
+        # one shared iterator over the flat array, cut by the width
+        items = zip(*[self.flat()] * self.width)
+        return (items if self.signs is None
+                else map(merge, map(zip, items, repeat(self.signs))))
+
+    def flat(self, picked=None):
+        """One iterator of the ints of the items at `picked` (None: all)."""
+        keys, w = self.keys, self.width
+        if picked is None:
+            return iter(keys)
+        return chain.from_iterable(keys[w * i:w * i + w] for i in picked)
 
 
 class BasedComplex:
@@ -100,7 +86,8 @@ class BasedComplex:
 
     basis[n]     corner tuples, in order (a `Packed`)
     degrees[n]   cube degree of each basis element (an int8 array)
-    columns[n]   sparse boundary columns into degree n-1 (n >= 1, a `Packed`)
+    columns[n]   sparse boundary columns into degree n-1 (n >= 1), a
+                 `Packed` of `face_positions` with `face_signs(n)`
     """
 
     __slots__ = ("max_dim", "basis", "degrees", "columns")
@@ -123,24 +110,19 @@ class BasedComplex:
 
 
 @lru_cache(maxsize=None)
-def _signed_faces(n):
-    """(getter, sign) per face of an n-cube: face (i, side) sits in slot
-    t = 2(i-1) + side of `face_getters(n)`, with sign (-1)^(i+side)."""
-    return tuple((get, -1 if t & 1 == (t >> 1) & 1 else 1)
-                 for t, get in enumerate(face_getters(n)))
+def face_signs(n):
+    """The sign (-1)^(i+side) of face (i, side) of an n-cube, in its slot
+    t = 2(i-1) + side of `face_getters(n)`."""
+    return tuple(-1 if t & 1 == (t >> 1) & 1 else 1 for t in range(2 * n))
 
 
-def _boundary_column(corners, n, index_below):
-    col = {}
-    for get, sign in _signed_faces(n):
-        j = index_below.get(get(corners))
-        if j is not None:
-            w = col.get(j, 0) + sign
-            if w:
-                col[j] = w
-            else:
-                del col[j]
-    return col
+def face_positions(cubes, n, index):
+    """Per n-cube of the sequence `cubes`, the tuple of the positions in
+    `index` ({(n-1)-cube: position}) of its faces `face_getters(n)`, -1
+    for a face not in it (a degenerate one), each slot t weighed by
+    face_signs(n)[t]."""
+    return zip(*[map(index.get, map(get, cubes), repeat(-1))
+                 for get in face_getters(n)])
 
 
 def normalized_complex(g, max_dim):
@@ -155,15 +137,16 @@ def normalized_complex(g, max_dim):
     degrees = []
     columns = [[]]
     for n in range(max_dim + 1):
-        cubes, degs, cols = Packed(1 << n), array("b"), Packed()
+        cubes, degs = Packed(1 << n), array("b")
+        cols = Packed(2 * n, signs=face_signs(n))
         below = {c: i for i, c in enumerate(basis[n - 1])} if n else None
         stream = singular_cubes(g, n, "nondegenerate")
-        # one chunk of corner tuples and column dicts alive at a time
+        # one chunk of corner and face tuples alive at a time
         while chunk := list(islice(stream, CHUNK)):
             cubes.extend(chunk)
             degs.fromlist(list(map(cube_degree, chunk)))
             if n:
-                cols.extend(_boundary_column(c, n, below) for c in chunk)
+                cols.extend(face_positions(chunk, n, below))
         basis.append(cubes)
         degrees.append(degs)
         if n:
@@ -176,11 +159,10 @@ def block(c, n, cols=None, rows=None):
     positions `cols`, each column restricted while it is read to the
     (n-1)-cubes at the increasing positions `rows` and keyed by its
     position there; None selects every cube, and d_0 is the zero map.  The
-    source is one `zlinalg.echelon_from_rows` takes: the stored columns
-    when nothing is selected, else a callable that reads them again.  c is
-    a `BasedComplex` or a `cwcomplex.CwCubeComplex`; rows are selected on a
-    `BasedComplex` only, whose packed columns restrict themselves
-    (`Packed.select`)."""
+    source is one `zlinalg.echelon_from_rows` takes.  On a `BasedComplex`
+    it is a `zlinalg.SignedRows` of the stored face positions, the
+    restriction mapping each through one position list (-1 off `rows`);
+    a `cwcomplex.CwCubeComplex` hands out its dict columns whole."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     c.require(n, f"the boundary of dimension {n}")
@@ -188,13 +170,21 @@ def block(c, n, cols=None, rows=None):
     if n == 0:
         return [{}] * ncols, 0, ncols
     stored = c.columns[n]
-    picked = range(ncols) if cols is None else cols
-    if rows is None:
-        source = (stored if cols is None
-                  else lambda: map(stored.__getitem__, picked))
-        return source, c.dim(n - 1), ncols
-    remap = {old: new for new, old in enumerate(rows)}
-    return (lambda: stored.select(picked, remap)), len(rows), ncols
+    if not isinstance(stored, Packed):
+        return stored, c.dim(n - 1), ncols
+    if rows is not None:
+        # slot -1, the last, takes the faces off the rows and -1 itself
+        remap = [-1] * (c.dim(n - 1) + 1)
+        for new, old in enumerate(rows):
+            remap[old] = new
+
+    def read():
+        flat = stored.flat(cols)
+        if rows is not None:
+            flat = map(remap.__getitem__, flat)
+        return zip(*[flat] * stored.width)
+    nrows = c.dim(n - 1) if rows is None else len(rows)
+    return SignedRows(read, stored.signs), nrows, ncols
 
 
 def _slice_positions(c, n, k):
@@ -215,8 +205,9 @@ def _restrict(c, keep):
              for n, sel in enumerate(keep)]
     degrees = [array("b", map(c.degrees[n].__getitem__, sel))
                for n, sel in enumerate(keep)]
-    columns = [[]] + [Packed(items=block(c, n, keep[n], keep[n - 1])[0]())
-                      for n in range(1, c.max_dim + 1)]
+    columns = [[]] + [
+        Packed(2 * n, block(c, n, keep[n], keep[n - 1])[0].read(),
+               face_signs(n)) for n in range(1, c.max_dim + 1)]
     return BasedComplex(c.max_dim, basis, degrees, columns)
 
 

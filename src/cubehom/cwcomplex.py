@@ -15,8 +15,8 @@ with the degree-filtration world.
 from itertools import islice
 
 from .budget import DimensionBudgetError
-from .chains import _signed_faces, block, normalized_complex
-from .cubes import canonical_parametrization, subgraph_levels
+from .chains import block, face_signs, normalized_complex
+from .cubes import canonical_parametrization, face_getters, subgraph_levels
 from .monophobic import is_quasimonophobic
 from .spectral import _injective_cover, bottom_edge_group, edge_map
 from .zlinalg import (
@@ -80,7 +80,8 @@ def build_cw_complex(g, max_dim, levels=None):
         cols = []
         for q in cells[n]:
             col = {}
-            for t, (get, sgn) in enumerate(_signed_faces(n)):
+            for t, (get, sgn) in enumerate(zip(face_getters(n),
+                                               face_signs(n))):
                 face = get(q.rep)
                 # a front face (t even) of a canonical parametrization is
                 # canonical: its corner 0 and its neighbours are the cell's

@@ -27,8 +27,8 @@ from collections import deque
 from itertools import chain
 
 from .budget import BudgetExhausted
-from .chains import _boundary_column, _slice_positions, block, homology
-from .cubes import cube_degree, singular_cubes
+from .chains import _slice_positions, block, face_positions, face_signs, homology
+from .cubes import cube_degree, face_getters, singular_cubes
 from .zlinalg import (
     AbelianGroup,
     ContractViolation,
@@ -41,6 +41,7 @@ from .zlinalg import (
     homology_at,
     kernel_echelon,
     lattice_torsion,
+    merge,
     quotient_in,
     replay,
     subquotient_presentation,
@@ -455,16 +456,19 @@ def quotient_homology(g, k, n, threads=1):
         here = _slice_basis(g, k, n)
         here_index = {cube: i for i, cube in enumerate(here)}
         out_rank = Echelon(len(below))
-        if n >= 1:
-            for cube in here:
-                out_rank.add(_boundary_column(cube, n, below_index))
+        for faces in face_positions(here, n, below_index):  # none at n = 0
+            out_rank.add(merge(zip(faces, face_signs(n))))
         progress.cycle_rank = len(here) - out_rank.rank
+
+        # one cube at a time, a list costs less than face_positions' maps
+        getters, signs = face_getters(n + 1), face_signs(n + 1)
 
         def counting(cubes):
             for cube in cubes:
                 progress.pulled += 1
                 if cube_degree(cube) == k:
-                    yield _boundary_column(cube, n + 1, here_index)
+                    yield merge(zip([here_index.get(get(cube), -1)
+                                     for get in getters], signs))
 
         def columns():
             # a stream that runs dry leaves the turn

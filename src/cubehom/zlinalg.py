@@ -10,7 +10,9 @@ an exact computation should see first; no answer is read off it.
 Vectors over a fixed ambient Z^n are sparse {index: coeff} dicts (zero
 coefficients never stored), and a matrix is a list of them, by rows or by
 columns, or a source: a zero-argument callable that returns a fresh
-iterator of them.
+iterator of them.  A `SignedRows` source holds its rows as tuples of
+indices instead, one fixed sign per slot and -1 for no entry (`merge`
+makes the dict of one), which is how a stored boundary is read.
 Lattices are held as `Echelon` objects: row bases sorted by strictly
 increasing pivot column.
 
@@ -26,7 +28,9 @@ modulo 2.  `gf2_pick` picks the rows that raise that rank and `replay`
 adds them exactly; `echelon_from_rows` then reads its rows again and adds
 one exactly only when `_certificate` cannot prove it redundant by one
 exact remainder, packed: small ints side by side in one Python int, in
-lanes too wide to carry into each other (`_pack`, `_packed_sum`).  A
+lanes too wide to carry into each other (`_pack`, `_packed_sum`).  Both
+of its passes read a row as (index, coefficient) pairs, the tuples of
+`SignedRows` as they are, so a dict is made only for an exact add.  A
 homology takes each boundary as the (source, nrows, ncols) triple of
 `chains.block` and checks d o d = 0 once, on the rank-many rows of the
 image echelon it builds anyway: `subquotient_homology` applies d_out to
@@ -36,6 +40,7 @@ whole integer kernel of d_out.
 
 from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import repeat
 
 from .budget import checkpoint
 
@@ -75,6 +80,36 @@ def apply_columns(columns, vec):
     for j, a in vec.items():
         axpy(out, a, columns[j])
     return out
+
+
+def merge(pairs):
+    """The sparse vector of (index, coefficient) pairs: the coefficients
+    of a repeated index add up, and the index -1 stands for no entry."""
+    vec = {}
+    for k, s in pairs:
+        if k >= 0:
+            w = vec.get(k, 0) + s
+            if w:
+                vec[k] = w
+            else:
+                del vec[k]
+    return vec
+
+
+class SignedRows:
+    """A source of rows held as tuples of indices, slot t of each carrying
+    the coefficient signs[t] (`merge`): `read()` returns a fresh iterator
+    of the tuples, a call one of their sparse dicts, which every reader of
+    a source takes.  `echelon_from_rows` reads the tuples themselves."""
+
+    __slots__ = ("read", "signs")
+
+    def __init__(self, read, signs):
+        self.read = read
+        self.signs = signs
+
+    def __call__(self):
+        return map(merge, map(zip, self.read(), repeat(self.signs)))
 
 
 class Echelon:
@@ -201,15 +236,16 @@ class GF2Echelon:
     def rank(self):
         return len(self.rows)
 
-    def add(self, vec):
-        """Add a sparse integer vector, reduced modulo 2, to the span;
-        True iff the rank rose."""
+    def add(self, pairs):
+        """Add a sparse integer vector, as (index, coefficient) pairs
+        (`merge`), reduced modulo 2, to the span; True iff the rank rose."""
         rows = self.rows
+        get = rows.get
         rest = 0
-        for k, v in vec.items():
-            if v & 1:
+        for k, v in pairs:
+            if k >= 0 and v & 1:
                 rest ^= 1 << k
-                row = rows.get(k)
+                row = get(k)
                 if row is not None:
                     rest ^= row
         if not rest:
@@ -247,21 +283,21 @@ def gf2_pick(rows, gf2, rank=None):
             break
         if not (len(picked) + len(rejected)) & 63:
             checkpoint()
-        (picked if gf2.add(r) else rejected).append(r)
+        (picked if gf2.add(r.items()) else rejected).append(r)
     return picked, rejected
 
 
 def replay(ech, rows):
-    """Add copies of `rows` to `ech` exactly, shortest first, and rows of
-    one length by decreasing last entry.  The order changes the basis,
-    not the lattice nor its pivot columns and |pivots|, only the fill-in.
-    A short row spreads few entries into the rows it reduces later (the
-    Markowitz choice of sparse elimination); the cellular boundaries,
-    whose rows all have 2n entries, fill in least with the late-ending
-    rows first (2,106 entries in the replayed d_3 of Q7's cells, against
-    7,338 in increasing order of the last entry)."""
+    """Add the sparse `rows`, which it consumes, to `ech` exactly, shortest
+    first, and rows of one length by decreasing last entry.  The order
+    changes the basis, not the lattice nor its pivot columns and |pivots|,
+    only the fill-in.  A short row spreads few entries into the rows it
+    reduces later (the Markowitz choice of sparse elimination); the
+    cellular boundaries, whose rows all have 2n entries, fill in least
+    with the late-ending rows first (2,106 entries in the replayed d_3 of
+    Q7's cells, against 7,338 in increasing order of the last entry)."""
     for r in sorted(rows, key=lambda r: (len(r), -max(r))):
-        ech.add(dict(r))
+        ech.add(r)
 
 
 def echelon_from_rows(rows, ncols):
@@ -287,31 +323,47 @@ def echelon_from_rows(rows, ncols):
     lane.  A lane holds v_c - sum_j v_j R_jc / R_jj, at most |v|_1 * max|R|
     in absolute value; lanes that wide cannot carry into each other, so the
     packed remainder is 0 iff every lane is (`_packed_sum`).
+
+    Both passes read a row as (index, coefficient) pairs.  Of `SignedRows`
+    they read the tuples as they are, since both are linear: a repeated
+    index cancels modulo 2 or adds up in the packed sum, and the index -1
+    adds nothing; a row becomes a dict only when it is added exactly.
     """
-    if not callable(rows) and not isinstance(rows, Sequence):
-        rows = list(rows)
+    if isinstance(rows, SignedRows):
+        # every sign is +-1, so |v|_1 is at most the slot count
+        read, signs, size, exact = rows.read, rows.signs, len, merge
+
+        def items(r):
+            return zip(r, signs)
+    else:
+        if not callable(rows) and not isinstance(rows, Sequence):
+            rows = list(rows)
+        read = rows if callable(rows) else rows.__iter__
+        items, exact = dict.items, dict
+
+        def size(r):
+            return sum(map(abs, r.values()))
     gf2, picked, norm = GF2Echelon(), [], 0
-    for i, r in enumerate(rows() if callable(rows) else rows):
+    for i, r in enumerate(read()):
         if not i & 63:
             checkpoint()
-        size = sum(map(abs, r.values()))
-        if size > norm:
-            norm = size
-        if gf2.add(r):
-            picked.append(r)
+        norm = max(norm, size(r))
+        if gf2.add(items(r)):
+            picked.append(exact(items(r)))
     ech = Echelon(ncols)
     replay(ech, picked)
     del gf2, picked  # pass 2 holds nothing of pass 1
     table = _certificate(ech, norm) if ech.has_unit_pivots() else {}
-    for i, r in enumerate(rows() if callable(rows) else rows):
+    table[-1] = 0, 0  # the empty slot of a signed row
+    for i, r in enumerate(read()):
         if not i & 63:
             checkpoint()
         try:
-            if not _packed_sum(r, table):
+            if not _packed_sum(items(r), table):
                 continue
         except KeyError:  # a coordinate outside the table: not certified
             pass
-        ech.add(dict(r))
+        ech.add(exact(items(r)))
     return ech
 
 
@@ -326,16 +378,16 @@ def _pack(vec, width):
     return width * lo, sum(v << width * (k - lo) for k, v in vec.items())
 
 
-def _packed_sum(vec, packed):
-    """sum of a * P << shift over the entries a at j of `vec`, with
-    (shift, P) = packed[j]: the packed combination of the vectors packed[j].
+def _packed_sum(pairs, packed):
+    """sum of a * P << shift over the (index, coefficient) `pairs` (j, a),
+    (shift, P) = packed[j]: the packed combination of the vectors there.
 
     It is 0 iff every lane of the combination is, when each lane is below
     2^width in absolute value for the lane width of the packing: the
     lowest nonzero lane s, at lane k, leaves s * 2^(width * k) modulo
     2^(width * (k + 1)), which is not 0."""
     acc = 0
-    for j, a in vec.items():
+    for j, a in pairs:
         shift, p = packed[j]
         acc += a * p << shift
     return acc

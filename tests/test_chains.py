@@ -5,6 +5,9 @@ import pytest
 from cube_group import act, reflection
 from cubehom.budget import DimensionBudgetError
 from cubehom.chains import (
+    _filtration_positions,
+    _slice_positions,
+    block,
     degree_quotient_complex,
     degree_subcomplex,
     dump_complex,
@@ -31,6 +34,7 @@ from cubehom.graphs import (
     greene_sphere,
     hypercube_graph,
 )
+from cubehom.zlinalg import Echelon, SignedRows, echelon_from_rows
 
 
 def positions(c, n):
@@ -101,6 +105,86 @@ def test_packed_store_round_trip(g):
     if c.dim(1):
         c.columns[1][0].clear()
         assert c.columns[1][0] == columns[1][0]
+
+
+def _block_reads(c):
+    """(n, cols, rows) of every kind of `block` read of c: the full
+    boundaries, the degree slices, the filtration levels, the parts above a
+    degree cut (no cubes selected) and the bottom-edge relations."""
+    for n in range(1, c.max_dim + 1):
+        yield n, None, None
+        for k in range(c.max_dim + 1):
+            yield n, _slice_positions(c, n, k), _slice_positions(c, n - 1, k)
+            keep = _filtration_positions(c, k, n)
+            yield n, keep[n], keep[n - 1]
+            yield n, None, [i for i, d in enumerate(c.degrees[n - 1]) if d > k]
+            if k == n - 1:
+                yield n, _slice_positions(c, n, k), _slice_positions(c, k, k)
+
+
+def _same_echelon(source, nrows):
+    """The echelon of a `SignedRows` source read as face tuples, checked
+    against the one of its rows listed as dicts; returns the dicts."""
+    assert isinstance(source, SignedRows)
+    dicts = list(source())
+    got, want = echelon_from_rows(source, nrows), echelon_from_rows(dicts, nrows)
+    assert (got.rows, got.pivots) == (want.rows, want.pivots)
+    return dicts
+
+
+@pytest.mark.parametrize("g", [Graph(0), Graph(3), Graph(2, [(0, 1)]),
+                               cycle_graph(5), complete_bipartite_graph(2, 3),
+                               greene_sphere(4)],
+                         ids=["empty", "edgeless", "k2", "c5", "k23", "gs4"])
+def test_block_reads_echelonize_alike_as_faces_and_dicts(g):
+    # every kind of read gives the same echelon through the face route as
+    # through its dicts, and the dicts the stored columns restricted in
+    # place, in the same key order; on a graph with an edge the reads
+    # cover entries +-2 (K2's 3-cubes), faces that cancel and columns with
+    # every slot -1
+    c = normalized_complex(g, 3)
+    kinds = set()
+    for n, cols, rows in _block_reads(c):
+        source, nrows, _ = block(c, n, cols, rows)
+        dicts = _same_echelon(source, nrows)
+        at = {r: i for i, r in enumerate(range(nrows) if rows is None
+                                         else rows)}
+        want = [[(at[r], v) for r, v in c.columns[n][j].items() if r in at]
+                for j in (range(c.dim(n)) if cols is None else cols)]
+        assert [list(d.items()) for d in dicts] == want
+        for f, d in zip(source.read(), dicts):
+            kinds.add("2" if {2, -2} & set(d.values()) else "1")
+            if any(i >= 0 and i not in d for i in f):
+                kinds.add("cancel")
+            if set(f) == {-1}:
+                kinds.add("empty")
+    for copy in (degree_subcomplex(c, 1), degree_quotient_complex(c, 1)):
+        for n in range(1, 4):
+            _same_echelon(*block(copy, n)[:2])
+    assert kinds == ({"1", "2", "cancel", "empty"} if c.dim(1) else set())
+
+
+def test_face_route_takes_the_exact_adds_after_a_non_unit_replay(
+        monkeypatch):
+    # the picks {1: 3} and {0: 1, 1: 2} replay to the pivot 3, so no
+    # certificate is built and pass 2 adds every row with an entry
+    # exactly, merged: the rejected {1: 1} saturates the lattice
+    signs = (1, 1, 1, 1, -1)
+    rows = [(0, 1, 1, -1, -1), (1, 1, 1, -1, -1), (1, -1, -1, -1, 1),
+            (-1, -1, -1, -1, -1), (1, -1, -1, -1, -1)]
+    source = SignedRows(lambda: iter(rows), signs)
+    assert list(source()) == [{0: 1, 1: 2}, {1: 3}, {}, {}, {1: 1}]
+    added, add = [], Echelon.add
+    monkeypatch.setattr(Echelon, "add",
+                        lambda ech, vec: added.append(dict(vec)) or
+                        add(ech, vec))
+    got = echelon_from_rows(source, 2)
+    faces, added[:] = [a for a in added if a], []
+    want = echelon_from_rows(list(source()), 2)
+    assert faces == added == [{1: 3}, {0: 1, 1: 2},
+                              {0: 1, 1: 2}, {1: 3}, {1: 1}]
+    assert (got.rows, got.pivots) == (want.rows, want.pivots)
+    assert got.pivots == [0, 1] and got.has_unit_pivots()
 
 
 def test_stored_complex_is_packed():

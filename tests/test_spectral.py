@@ -390,19 +390,40 @@ def test_einf_rank_sums_match_homology(sphere4, c6, k23):
         assert orders == hn.torsion_order
 
 
+class _FacesOnly(zlinalg.SignedRows):
+    """Signed rows that may be read as index tuples only."""
+
+    def __call__(self):
+        raise AssertionError("signed rows read as dicts")
+
+
 def test_einf_echelonizes_the_stored_boundary_columns(monkeypatch, sphere4):
     # the boundary echelon reads the stored d_3 columns, all of them in
     # stored order and unchanged, not a permuted or partial copy; only its
-    # rank-many rows are put in degree order
-    real, seen = echelon_from_rows, []
+    # rank-many rows are put in degree order.  The dict view passes
+    # whether or not the builder reads faces, so the face tuples that
+    # its two passes pull are recorded too: the stored ones, in stored
+    # order, and no dict view of them
+    real, seen, pulled = echelon_from_rows, [], []
 
     def spy(rows, ncols):
         seen.append(list(rows() if callable(rows) else rows))
+        if isinstance(rows, zlinalg.SignedRows):
+            faces, read = [], rows.read
+            pulled.append(faces)
+
+            def recording():
+                for f in read():
+                    faces.append(f)
+                    yield f
+            rows = _FacesOnly(recording, rows.signs)
         return real(rows, ncols)
 
     monkeypatch.setattr(spectral, "echelon_from_rows", spy)
     assert einfinity_report(sphere4, 2).match
     assert list(sphere4.columns[3]) in seen
+    stored = sphere4.columns[3]
+    assert list(zip(*[stored.flat()] * stored.width)) * 2 in pulled
 
 
 def _stacked_boundary_image(c, n, p, depth):

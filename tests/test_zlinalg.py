@@ -5,7 +5,7 @@ import pytest
 
 from cubehom import zlinalg
 from cubehom.budget import BudgetExhausted, clear_time_budget, set_time_budget
-from cubehom.chains import normalized_complex
+from cubehom.chains import block, normalized_complex
 from cubehom.graphs import greene_sphere
 from cubehom.zlinalg import (
     AbelianGroup,
@@ -13,6 +13,7 @@ from cubehom.zlinalg import (
     Echelon,
     GF2Echelon,
     GroupMap,
+    SignedRows,
     apply_columns,
     axpy,
     cokernel_of,
@@ -527,7 +528,7 @@ def test_gf2_echelon_matches_list_elimination_random():
         for j, col in enumerate(cols):
             rose = _mod2_rank_by_lists(cols[:j + 1], n) \
                 > _mod2_rank_by_lists(cols[:j], n)
-            assert ech.add(col) is rose
+            assert ech.add(col.items()) is rose
             assert ech.rank == _mod2_rank_by_lists(cols[:j + 1], n)
         # fully reduced: each pivot bit is set in exactly one row, and
         # `holders` lists the rows of every other coordinate
@@ -761,7 +762,8 @@ def gs4():
 
 def test_echelon_from_rows_adds_only_the_gf2_picks(monkeypatch, gs4):
     # the 21,552 boundary columns of d_3 of greene-sphere(4) span a lattice
-    # of rank 344 with unit pivots: one exact add per rank step
+    # of rank 344 with unit pivots: one exact add per rank step, read as
+    # dicts or as the stored face tuples
     c = gs4
     adds = []
     add = Echelon.add
@@ -769,53 +771,92 @@ def test_echelon_from_rows_adds_only_the_gf2_picks(monkeypatch, gs4):
                         lambda ech, vec: adds.append(1) or add(ech, vec))
     ech = echelon_from_rows(c.columns[3], c.dim(2))
     assert ech.rank == 344 and len(adds) == 344
+    faces = echelon_from_rows(block(c, 3)[0], c.dim(2))
+    assert (faces.rows, faces.pivots) == (ech.rows, ech.pivots)
+    assert len(adds) == 2 * 344
     monkeypatch.undo()
     assert ech.pivots == _sequential_echelon(c.columns[3], c.dim(2)).pivots
 
 
-def _counting_source(rows, pulled):
-    """A source of `rows` that counts the rows pulled from it."""
+def _counting_source(rows, pulled, signs=None):
+    """A source of `rows` that appends to `pulled` the number of rows
+    pulled in each read; with `signs`, a `SignedRows` of index tuples."""
     def source():
+        pulled.append(0)
         for r in rows:
-            pulled[0] += 1
+            pulled[-1] += 1
             yield r
-    return source
+    return source if signs is None else SignedRows(source, signs)
 
 
-def test_row_loops_read_the_clock_on_their_first_row(gs4):
-    rows = [gs4.columns[3][j] for j in range(200)]
-    pulled = [0]
-    set_time_budget(-1)
-    try:
-        with pytest.raises(BudgetExhausted):
-            echelon_from_rows(_counting_source(rows, pulled), gs4.dim(2))
-        assert pulled[0] == 1
-        pulled[0] = 0
-        with pytest.raises(BudgetExhausted):
-            gf2_pick(_counting_source(rows, pulled)(), GF2Echelon())
-        assert pulled[0] == 1
-    finally:
-        clear_time_budget()
+def _sources(c, n, count=None):
+    """(rows, signs) of d_n of c as dicts (signs None) and as the stored
+    face tuples of `block`, the first `count` columns of each."""
+    faces = block(c, n)[0]
+    return ((list(c.columns[n])[:count], None),
+            (list(faces.read())[:count], faces.signs))
+
+
+def test_row_loops_read_the_clock_on_their_first_row(monkeypatch, gs4):
+    for rows, signs in _sources(gs4, 3, 200):
+        pulled = []
+        set_time_budget(-1)
+        try:
+            with pytest.raises(BudgetExhausted):
+                echelon_from_rows(_counting_source(rows, pulled, signs),
+                                  gs4.dim(2))
+            assert pulled == [1]
+            if signs is None:
+                pulled = []
+                with pytest.raises(BudgetExhausted):
+                    gf2_pick(_counting_source(rows, pulled)(), GF2Echelon())
+                assert pulled == [1]
+        finally:
+            clear_time_budget()
+        # and in pass 2: the clock runs out once the second read begins
+        pulled = []
+
+        def stop_in_pass_2():
+            if len(pulled) == 2:
+                raise BudgetExhausted("soft time budget exhausted")
+
+        with monkeypatch.context() as m:
+            m.setattr(zlinalg, "checkpoint", stop_in_pass_2)
+            with pytest.raises(BudgetExhausted):
+                echelon_from_rows(_counting_source(rows, pulled, signs),
+                                  gs4.dim(2))
+        assert pulled == [200, 1]
 
 
 def test_row_loops_read_the_clock_every_64_rows(monkeypatch, gs4):
-    # the second read comes with the 65th row, in echelon_from_rows'
-    # first pass, which adds nothing exactly, and in gf2_pick
-    rows = gs4.columns[3]
-    calls = [0]
+    # the second clock read in a pass comes with its 65th row: in
+    # echelon_from_rows' first pass, which adds nothing exactly, in its
+    # second, which adds nothing exactly on this boundary (the replay's
+    # adds come between the two), and in gf2_pick; each clock read is
+    # tagged with the number of reads of the source begun before it
+    clock, pulled = [], []
 
     def stop_on_second():
-        calls[0] += 1
-        if calls[0] == 2:
+        clock.append(len(pulled))
+        if clock.count(stop_in) == 2:
             raise BudgetExhausted("soft time budget exhausted")
 
     monkeypatch.setattr(zlinalg, "checkpoint", stop_on_second)
-    for run in (lambda src: echelon_from_rows(src, gs4.dim(2)),
-                lambda src: gf2_pick(src(), GF2Echelon())):
-        calls[0], pulled = 0, [0]
-        with pytest.raises(BudgetExhausted):
-            run(_counting_source(rows, pulled))
-        assert pulled[0] == 65
+    (dicts, _), faces = _sources(gs4, 3)
+    for rows, signs in ((dicts, None), faces):
+        for stop_in in (1, 2):
+            clock.clear()
+            pulled.clear()
+            with pytest.raises(BudgetExhausted):
+                echelon_from_rows(_counting_source(rows, pulled, signs),
+                                  gs4.dim(2))
+            assert pulled == [len(rows)] * (stop_in - 1) + [65]
+    clock.clear()
+    pulled.clear()
+    stop_in = 1
+    with pytest.raises(BudgetExhausted):
+        gf2_pick(_counting_source(dicts, pulled)(), GF2Echelon())
+    assert pulled == [65]
 
 
 def test_row_loops_under_a_distant_deadline_are_unchanged(gs4):
