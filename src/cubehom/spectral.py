@@ -24,6 +24,7 @@ past the cubes of degree above the level span the part inside it.
 
 from bisect import bisect_left
 from collections import deque
+from functools import cache
 from itertools import chain
 
 from .budget import BudgetExhausted
@@ -231,13 +232,15 @@ def _degree_reader(degs, lattice):
     smallest indices and increase down the rows, so a combination of rows
     vanishes below s only if each row pivoting below s has coefficient 0:
     the rows pivoting at s or later span the part inside F_p.  A read maps
-    them back to C_n coordinates and echelonizes them again."""
+    them back to C_n coordinates and echelonizes them again, once per p:
+    the reader keeps each Echelon it returned, which no caller modifies."""
     order = sorted(range(len(degs)), key=degs.__getitem__, reverse=True)
     at = {i: k for k, i in enumerate(order)}
     ech = echelon_from_rows(
         ({at[i]: v for i, v in row.items()} for row in lattice.rows),
         len(degs))
 
+    @cache
     def read(p):
         start = bisect_left(ech.pivots, sum(d > p for d in degs))
         return echelon_from_rows(

@@ -28,9 +28,10 @@ modulo 2.  `gf2_pick` picks the rows that raise that rank and `replay`
 adds them exactly; `echelon_from_rows` then reads its rows again and adds
 one exactly only when `_certificate` cannot prove it redundant by one
 exact remainder, packed: small ints side by side in one Python int, in
-lanes too wide to carry into each other (`_pack`, `_packed_sum`).  Both
-of its passes read a row as (index, coefficient) pairs, the tuples of
-`SignedRows` as they are, so a dict is made only for an exact add.  A
+lanes too wide to carry into each other.  Each of its passes reduces a
+row by one table lookup per coordinate (`GF2Echelon.tails`, the
+certificate's presigned packed rows), reading the tuples of `SignedRows`
+as they are, so a dict is made only for an exact add.  A
 homology takes each boundary as the (source, nrows, ncols) triple of
 `chains.block` and checks d o d = 0 once, on the rank-many rows of the
 image echelon it builds anyway: `subquotient_homology` applies d_out to
@@ -41,6 +42,7 @@ whole integer kernel of d_out.
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import repeat
+from operator import getitem
 
 from .budget import checkpoint
 
@@ -98,9 +100,9 @@ def merge(pairs):
 
 class SignedRows:
     """A source of rows held as tuples of indices, slot t of each carrying
-    the coefficient signs[t] (`merge`): `read()` returns a fresh iterator
-    of the tuples, a call one of their sparse dicts, which every reader of
-    a source takes.  `echelon_from_rows` reads the tuples themselves."""
+    the coefficient signs[t] = +-1 (`merge`): `read()` returns a fresh
+    iterator of the tuples, a call one of their sparse dicts, which every
+    reader of a source takes.  `echelon_from_rows` reads the tuples."""
 
     __slots__ = ("read", "signs")
 
@@ -213,61 +215,71 @@ class Echelon:
         return True
 
 
+class _Tails(dict):
+    """`GF2Echelon.tails`: a missing coordinate k reads 1 << k, unstored."""
+
+    __slots__ = ()
+
+    def __missing__(self, k):
+        return 1 << k
+
+
 class GF2Echelon:
     """Row space over GF(2), rows held as Python ints, bit i being
     coordinate i.
 
     Rows are kept fully reduced and keyed by their pivot, the lowest set
-    bit: no row has another row's pivot bit set.  A vector therefore
-    reduces with one XOR per pivot bit it has, whatever order the rows
-    came in, which keeps sparse vectors cheap however long the basis
-    grows.  Admitting a row clears its pivot from the rows that have it;
-    `holders` maps each non-pivot coordinate to the mask of the pivots
-    whose rows have it, so those rows are found without a scan.
+    bit: no row has another row's pivot bit set.  `tails[p]` is pivot p's
+    row without its pivot bit, any other coordinate k reads 1 << k, and
+    `tails[-1]` is 0.  A vector therefore reduces to the XOR of tails[k]
+    over its odd coordinates k, whatever order the rows came in, which
+    keeps sparse vectors cheap however long the basis grows.  Admitting a
+    residue clears its pivot from the tails that have it; `holders` maps
+    each non-pivot coordinate to the mask of the pivots whose tails have
+    it, so those are found without a scan.
     """
 
-    __slots__ = ("rows", "holders")
+    __slots__ = ("tails", "holders")
 
     def __init__(self):
-        self.rows = {}
+        self.tails = _Tails({-1: 0})
         self.holders = {}
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.tails) - 1
 
     def add(self, pairs):
         """Add a sparse integer vector, as (index, coefficient) pairs
         (`merge`), reduced modulo 2, to the span; True iff the rank rose."""
-        rows = self.rows
-        get = rows.get
-        rest = 0
+        tails, rest = self.tails, 0
         for k, v in pairs:
-            if k >= 0 and v & 1:
-                rest ^= 1 << k
-                row = get(k)
-                if row is not None:
-                    rest ^= row
+            if v & 1:
+                rest ^= tails[k]
+        return self.admit(rest)
+
+    def admit(self, rest):
+        """Add `rest`, a residue (the XOR of tails[k] over the odd
+        coordinates k of a vector), to the span; True iff it is not 0."""
         if not rest:
             return False
         low = rest & -rest
         pivot = low.bit_length() - 1
-        hit = self.holders.pop(pivot, 0)
+        tails, holders = self.tails, self.holders
+        hit = holders.pop(pivot, 0)
         mask = hit
         while mask:
             bit = mask & -mask
-            rows[bit.bit_length() - 1] ^= rest
+            tails[bit.bit_length() - 1] ^= rest
             mask ^= bit
-        # rows in `hit` toggle the other coordinates of `rest`, and the
-        # new row (mask bit `low`) takes them all
-        holders = self.holders
-        others = rest ^ low
+        # tails in `hit` toggle the other coordinates of `rest`, and the
+        # new tail (mask bit `low`) takes them all
+        others = tails[pivot] = rest ^ low
         while others:
             bit = others & -others
             k = bit.bit_length() - 1
             holders[k] = holders.get(k, 0) ^ hit ^ low
             others ^= bit
-        rows[pivot] = rest
         return True
 
 
@@ -319,85 +331,87 @@ def echelon_from_rows(rows, ncols):
     them.  Memory follows the rank, not the row count.
 
     The remainders are evaluated packed: one Python int per reduced row,
-    a lane per non-pivot coordinate, each row packed from its own lowest
-    lane.  A lane holds v_c - sum_j v_j R_jc / R_jj, at most |v|_1 * max|R|
-    in absolute value; lanes that wide cannot carry into each other, so the
-    packed remainder is 0 iff every lane is (`_packed_sum`).
+    a lane per non-pivot coordinate.  A lane holds v_c - sum_j v_j R_jc /
+    R_jj, at most |v|_1 * max|R| in absolute value; lanes that wide cannot
+    carry into each other, so the packed remainder is 0 iff every lane is:
+    the lowest nonzero lane s, at lane k, leaves s * 2^(width * k) modulo
+    2^(width * (k + 1)), which is not 0.
 
-    Both passes read a row as (index, coefficient) pairs.  Of `SignedRows`
-    they read the tuples as they are, since both are linear: a repeated
-    index cancels modulo 2 or adds up in the packed sum, and the index -1
-    adds nothing; a row becomes a dict only when it is added exactly.
+    Each pass reduces a row by one lookup per coordinate: pass 1 XORs
+    `GF2Echelon.tails` over its odd coordinates, pass 2 sums `_certificate`
+    entries times its coefficients.  Of `SignedRows` they read the tuples
+    as they are, since both are linear and the index -1 looks up 0: pass 1
+    XORs every slot (each sign is odd), pass 2 looks slot t up in the
+    table or its negation, by its sign, in one C-level chain.  A row
+    becomes a dict only when it is added exactly.
     """
     if isinstance(rows, SignedRows):
-        # every sign is +-1, so |v|_1 is at most the slot count
-        read, signs, size, exact = rows.read, rows.signs, len, merge
+        read, signs = rows.read, rows.signs
+        size = len  # every sign is +-1, so |v|_1 is at most the slot count
 
-        def items(r):
-            return zip(r, signs)
+        def exact(r):
+            return merge(zip(r, signs))
+
+        def pick(r):
+            rest = 0
+            for k in r:  # every sign is odd
+                rest ^= tails[k]
+            return admit(rest)
     else:
         if not callable(rows) and not isinstance(rows, Sequence):
             rows = list(rows)
         read = rows if callable(rows) else rows.__iter__
-        items, exact = dict.items, dict
+        signs, exact = None, dict
 
         def size(r):
             return sum(map(abs, r.values()))
+
+        def pick(r):
+            return add(r.items())
     gf2, picked, norm = GF2Echelon(), [], 0
+    tails, admit, add = gf2.tails, gf2.admit, gf2.add
     for i, r in enumerate(read()):
         if not i & 63:
             checkpoint()
         norm = max(norm, size(r))
-        if gf2.add(items(r)):
-            picked.append(exact(items(r)))
+        if pick(r):
+            picked.append(exact(r))
     ech = Echelon(ncols)
     replay(ech, picked)
-    del gf2, picked  # pass 2 holds nothing of pass 1
+    del gf2, tails, admit, add, picked  # pass 2 holds nothing of pass 1
     table = _certificate(ech, norm) if ech.has_unit_pivots() else {}
-    table[-1] = 0, 0  # the empty slot of a signed row
+    table[-1] = 0  # the empty slot of a signed row
+    if signs is None:
+        def remainder(r):
+            acc = 0
+            for k, v in r.items():
+                acc += v * table[k]
+            return acc
+    else:
+        negated = {k: -v for k, v in table.items()}
+        slots = [table if s > 0 else negated for s in signs]
+
+        def remainder(r):
+            return sum(map(getitem, slots, r))
     for i, r in enumerate(read()):
         if not i & 63:
             checkpoint()
         try:
-            if not _packed_sum(items(r), table):
+            if not remainder(r):
                 continue
         except KeyError:  # a coordinate outside the table: not certified
             pass
-        ech.add(exact(items(r)))
+        ech.add(exact(r))
     return ech
-
-
-def _pack(vec, width):
-    """(shift, P) for a sparse vector keyed by lane, P holding its entry at
-    lane k as P's digit k - lo in base 2^width, lo being its lowest lane,
-    and shift = width * lo; so P << shift packs the vector, and P grows
-    with the span of the vector's lanes, not with their position."""
-    if not vec:
-        return 0, 0
-    lo = min(vec)
-    return width * lo, sum(v << width * (k - lo) for k, v in vec.items())
-
-
-def _packed_sum(pairs, packed):
-    """sum of a * P << shift over the (index, coefficient) `pairs` (j, a),
-    (shift, P) = packed[j]: the packed combination of the vectors there.
-
-    It is 0 iff every lane of the combination is, when each lane is below
-    2^width in absolute value for the lane width of the packing: the
-    lowest nonzero lane s, at lane k, leaves s * 2^(width * k) modulo
-    2^(width * (k + 1)), which is not 0."""
-    acc = 0
-    for j, a in pairs:
-        shift, p = packed[j]
-        acc += a * p << shift
-    return acc
 
 
 def _certificate(ech, norm):
     """Bring `ech`, whose pivots are all +-1, to reduced row-echelon form
-    R in place, and return the table that `_packed_sum` turns into the
-    packed remainder v - sum over pivots j of v_j R_j of a row v with
-    |v|_1 <= norm (see `echelon_from_rows`)."""
+    R in place, and return the table whose entries over a row v with
+    |v|_1 <= norm sum to its packed remainder v - sum over pivots j of
+    v_j R_j (see `echelon_from_rows`): a non-pivot coordinate's own lane,
+    and at a pivot j the packed -R_j times the pivot's sign, the
+    coefficient being v_j / R_jj."""
     basis, pivots = ech.rows, ech.pivots
     where = {j: k for k, j in enumerate(pivots)}
     # bottom up: a subtracted row is already reduced, so it clears its own
@@ -412,13 +426,10 @@ def _certificate(ech, norm):
     # a lane holds v_c - sum_j v_j R_jc / R_jj, and max|R| >= 1 covers v_c
     big = max((abs(v) for row in basis for v in row.values()), default=0)
     width = (norm * big).bit_length()
-    # a non-pivot coordinate enters the remainder as itself, a pivot j as
-    # -R_j times the pivot's sign, the coefficient being v_j / R_jj
-    table = {j: (width * i, 1) for j, i in lane.items()}
+    table = {j: 1 << width * i for j, i in lane.items()}
     for row, j in zip(basis, pivots):
-        shift, p = _pack({lane[i]: v for i, v in row.items() if i in lane},
-                         width)
-        table[j] = shift, -p * row[j]
+        table[j] = -row[j] * sum(v << width * lane[i]
+                                 for i, v in row.items() if i in lane)
     return table
 
 

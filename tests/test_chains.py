@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 from cube_group import act, reflection
+from echelon_reference import assert_same_passes
 from cubehom.budget import DimensionBudgetError
 from cubehom.chains import (
     _filtration_positions,
@@ -124,10 +125,11 @@ def _block_reads(c):
 
 def _same_echelon(source, nrows):
     """The echelon of a `SignedRows` source read as face tuples, checked
-    against the one of its rows listed as dicts; returns the dicts."""
+    against the one of its rows listed as dicts, each built with the same
+    exact adds as the slot-by-slot reference builds; returns the dicts."""
     assert isinstance(source, SignedRows)
     dicts = list(source())
-    got, want = echelon_from_rows(source, nrows), echelon_from_rows(dicts, nrows)
+    got, want = (assert_same_passes(r, nrows)[0] for r in (source, dicts))
     assert (got.rows, got.pivots) == (want.rows, want.pivots)
     return dicts
 

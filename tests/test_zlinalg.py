@@ -4,6 +4,7 @@ from collections.abc import Sequence
 import pytest
 
 from cubehom import zlinalg
+from echelon_reference import assert_same_passes
 from cubehom.budget import BudgetExhausted, clear_time_budget, set_time_budget
 from cubehom.chains import block, normalized_complex
 from cubehom.graphs import greene_sphere
@@ -530,15 +531,32 @@ def test_gf2_echelon_matches_list_elimination_random():
                 > _mod2_rank_by_lists(cols[:j], n)
             assert ech.add(col.items()) is rose
             assert ech.rank == _mod2_rank_by_lists(cols[:j + 1], n)
-        # fully reduced: each pivot bit is set in exactly one row, and
-        # `holders` lists the rows of every other coordinate
-        for pivot, row in ech.rows.items():
-            assert row & -row == 1 << pivot
-            assert sum(r >> pivot & 1 for r in ech.rows.values()) == 1
+        # fully reduced: each tail lies above its pivot and no tail holds a
+        # pivot bit, and `holders` lists the tails of every other coordinate
+        tails = dict(ech.tails)
+        assert tails.pop(-1) == 0
+        for pivot, tail in tails.items():
+            assert tail >> pivot + 1 << pivot + 1 == tail
+            assert not any(t >> pivot & 1 for t in tails.values())
         for k in range(n):
-            if k not in ech.rows:
-                mask = sum(1 << p for p, r in ech.rows.items() if r >> k & 1)
+            if k not in tails:
+                mask = sum(1 << p for p, t in tails.items() if t >> k & 1)
                 assert ech.holders.get(k, 0) == mask
+
+
+def test_gf2_echelon_stores_no_coordinate_that_is_not_a_pivot():
+    # a coordinate that is not a pivot reads as its own bit without being
+    # stored, so memory follows the rank however far the indices reach
+    big = 10 ** 6
+    ech = GF2Echelon()
+    assert ech.add([(big, 1), (big + 1, 3), (-1, 1)])
+    assert len(ech.tails) == 2 and ech.rank == 1
+    for pairs in ([(big, -1), (big + 1, 1)], [(big + 2, 1), (big + 2, -1)],
+                  [(big + 3, 2), (7, -4)], [(-1, 1), (-1, -1)]):
+        assert not ech.add(pairs)
+        assert len(ech.tails) == 2
+    assert ech.tails == {-1: 0, big: 1 << big + 1}
+    assert ech.holders == {big + 1: 1 << big}
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +612,37 @@ def test_echelon_from_rows_matches_sequential_adds_random():
         rng.shuffle(more)
         _assert_same_lattice(more, ncols)
         _assert_same_lattice(more, ncols, feed=_callable)
+
+
+def test_echelon_from_rows_adds_what_the_slot_by_slot_passes_add():
+    # each pass reduces a row by table lookups, not pair by pair: the same
+    # rows are picked, replayed and added exactly, into the same echelon
+    rng = random.Random(74)
+    for _ in range(150):
+        ncols = rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 0.9))
+        rows = [{j: v for j in range(ncols) if rng.random() < density
+                 for v in [rng.randint(-3, 3)] if v}
+                for _ in range(rng.randint(0, 12))]
+        assert_same_passes(rows, ncols)
+        base = rows[:rng.randint(0, 4)]
+        more = base + [_combination(rng, base) for _ in range(15)]
+        rng.shuffle(more)
+        assert_same_passes(more, ncols)
+    # {2: 2} reaches a coordinate outside the certificate (a KeyError)
+    assert assert_same_passes([{0: 1, 1: 1}, {2: 2}], 3)[1] == 2
+    assert assert_same_passes(
+        SignedRows(lambda: iter([(0, 1), (2, 2)]), (1, 1)), 3)[1] == 2
+    # a non-unit replay, after which every row with a face is added
+    # exactly, faces that cancel included, and rows whose every slot is -1,
+    # which no pass adds
+    signs = (1, 1, 1, 1, -1)
+    rows = [(0, 1, 1, -1, -1), (1, 1, 1, -1, -1), (1, -1, -1, -1, 1),
+            (-1, -1, -1, -1, -1), (1, -1, -1, -1, -1)]
+    assert assert_same_passes(SignedRows(lambda: iter(rows), signs), 2)[1] == 6
+    rows = [(0, -1), (-1, -1), (1, 0), (0, 1)]
+    source = SignedRows(lambda: iter(rows), (1, -1))
+    assert assert_same_passes(source, 2)[1] == 2
 
 
 def _callable(rows):
