@@ -25,7 +25,6 @@ past the cubes of degree above the level span the part inside it.
 from bisect import bisect_left
 from collections import deque
 from functools import cache
-from itertools import chain
 
 from .budget import BudgetExhausted
 from .chains import _slice_positions, block, face_positions, face_signs, homology
@@ -34,17 +33,14 @@ from .zlinalg import (
     AbelianGroup,
     ContractViolation,
     Echelon,
-    GF2Echelon,
     GroupMap,
     apply_columns,
     echelon_from_rows,
-    gf2_pick,
     homology_at,
     kernel_echelon,
     lattice_torsion,
     merge,
     quotient_in,
-    replay,
     subquotient_presentation,
 )
 
@@ -346,29 +342,24 @@ def h2_exact_sequence(c):
 # streaming slice homology (large top dimensions)
 # ---------------------------------------------------------------------------
 
-# exact adds between two saturation checks of the exact pass
-CHECK_EVERY = 256
-
-
 class _Progress:
-    """How far a streamed slice homology got, for a budget stop's message."""
+    """How far a streamed slice homology got, for a budget stop's message:
+    the phase and, past the slice bases, the rank reached (the pairs', then
+    the exact image's) against the cycle rank."""
 
-    __slots__ = ("phase", "echelon", "cycle_rank", "pulled")
+    __slots__ = ("phase", "pairs", "echelon", "cycle_rank", "pulled")
 
     def __init__(self):
         self.phase = "slice bases"
-        self.echelon = None
-        self.cycle_rank = None
-        self.pulled = 0
+        self.pairs = self.pulled = 0
+        self.echelon = self.cycle_rank = None
 
     def __str__(self):
-        if self.echelon is None:
+        if self.cycle_rank is None:
             return f"in phase {self.phase}"
-        kind = ("GF(2) rank" if isinstance(self.echelon, GF2Echelon)
-                else "exact image rank")
-        return (f"in phase {self.phase} at {kind} {self.echelon.rank:,} of "
-                f"cycle rank {self.cycle_rank:,} after {self.pulled:,} "
-                f"candidates")
+        rank = self.pairs if self.echelon is None else self.echelon.rank
+        return (f"in phase {self.phase} at rank {rank:,} of cycle rank "
+                f"{self.cycle_rank:,} after {self.pulled:,} candidates")
 
 
 def _slice_basis(g, k, n):
@@ -388,35 +379,46 @@ def _pinned_first(g, n, front):
                               avoid=[{len(front): front[0]}])
 
 
-def _image_quotient(ncols, cycle_rank, columns, progress):
+def _image_quotient(ncols, rest, columns, progress):
     """Cycles modulo the image, for an image spanned by streamed columns.
 
-    The cycles are a saturated sublattice of Z^ncols of rank `cycle_rank`
-    containing every column of the iterator `columns`.  `gf2_pick` takes
-    the columns that raise the GF(2) rank until it reaches the cycle rank,
-    and `replay` adds them exactly: rank `cycle_rank` with unit pivots
-    makes the image a saturated sublattice of the cycles of equal rank,
-    hence equal to them, and the group is 0.  Otherwise every other column
-    is added exactly once, the rejected ones first, checking for that
-    saturation every CHECK_EVERY columns.
+    The cycles are a saturated sublattice Z of Z^ncols containing every
+    column of the iterator `columns`, and `rest`, a set of coordinates
+    that it consumes, has |rest| = rank Z and the projection of Z onto it
+    is injective.  A column whose entries on `rest` are one +-1 pairs with
+    that row, which leaves `rest` and retries the columns waiting on it.
+    The paired columns are unit-triangular on their rows, so once `rest`
+    is empty they project onto all of Z^(its rows), which holds the
+    projection of Z; by injectivity they span Z and the group is 0
+    (coreduction, Mrozek & Batko, Discrete Comput. Geom. 41, 2009).  With
+    `rest` empty no column is pulled.  If the columns run dry first, every
+    pulled one is added exactly once and the group read off the echelon.
     """
-    progress.phase = "GF(2) filter"
-    gf2 = progress.echelon = GF2Echelon()
-    picked, rejected = gf2_pick(columns, gf2, cycle_rank)
-    progress.phase = "exact replay"
-    img = progress.echelon = Echelon(ncols)
-    replay(img, picked)
-
-    def saturated():
-        return img.rank == cycle_rank and img.has_unit_pivots()
-
-    if saturated():
+    cycle_rank, pulled, waiting = len(rest), [], {}
+    progress.phase = "pairing"
+    if not rest:
         return AbelianGroup.trivial()
-    progress.phase = "exact pass"
-    for i, col in enumerate(chain(rejected, columns), 1):
-        img.add(col)
-        if i % CHECK_EVERY == 0 and saturated():
+    for col in columns:
+        pulled.append(col)
+        rows = [i for i in col if i in rest]
+        if len(rows) > 1:  # it waits until one row is left
+            for i in rows:
+                waiting.setdefault(i, []).append(col)
+            continue
+        todo = [col]
+        while todo:
+            c = todo.pop()
+            rows = [i for i in c if i in rest]
+            if len(rows) == 1 and c[rows[0]] in (1, -1):
+                rest.remove(rows[0])
+                progress.pairs += 1
+                todo += waiting.pop(rows[0], ())
+        if not rest:
             return AbelianGroup.trivial()
+    progress.phase = "exact pass"
+    img = progress.echelon = Echelon(ncols)
+    for col in pulled:
+        img.add(col)
     if img.rank > cycle_rank:
         raise ContractViolation("the image outranks the cycle lattice")
     return AbelianGroup.from_invariants(cycle_rank - img.rank,
@@ -426,26 +428,26 @@ def _image_quotient(ncols, cycle_rank, columns, progress):
 def quotient_homology(g, k, n, threads=1):
     """H of the degree-k slice at dimension n, streaming dimension n+1.
 
-    Builds the slice bases at n-1 and n and the cycle rank, then streams
-    the degree-k nondegenerate (n+1)-cubes, never materializing the top
-    chain group.  Every such cube has exactly one front n-face (corners
-    0..2^n-1), so the stream splits by front face with no dedupe: one
-    coface stream per slice-basis cube s, and then the cofaces of the other
-    n-cubes of degree at most k (a cube's degree is at least its faces').
-    The stream of s (`_pinned_first`) yields first the cofaces whose first
-    back corner stays on s's corner 0, then the others, each part in
-    lexicographic order; the tail walks each other front's cofaces once.
+    Builds the slice bases at n-1 and n and the rows R of the slice cubes
+    whose boundaries do not raise the exact rank of the ones before them,
+    |R| being the cycle rank, then streams the degree-k nondegenerate
+    (n+1)-cubes, never materializing the top chain group.  Every such cube
+    has exactly one front n-face (corners 0..2^n-1), so the stream splits
+    by front face with no dedupe: one coface stream per slice-basis cube
+    s, and then the cofaces of the other n-cubes of degree at most k (a
+    cube's degree is at least its faces').  The stream of s
+    (`_pinned_first`) yields first the cofaces whose first back corner
+    stays on s's corner 0, then the others, each part in lexicographic
+    order; the tail walks each other front's cofaces once.
 
     `_image_quotient` sees one column iterator: one degree-k column from
     each coface stream in turn, so the columns spread over the whole slice
-    basis early, then the other cofaces.  On E1[1,1] of the Greene spheres
-    the first round, one pinned coface per front, reaches the cycle rank
-    modulo 2 on every labeling tried.  The GF(2) pick and exact replay
-    settle H = 0 as soon as the replay reaches the cycle rank with unit
-    pivots; any other outcome takes one exact pass over the rest of the
-    stream, which enumerates, degree-tests and adds each cube once.  Like
-    every computation here it runs in the calling process; `threads` is
-    accepted for the callers that pass it and ignored.
+    basis early, then the other cofaces.  It pairs columns with rows of R
+    by set lookups and settles H = 0 once every row is paired; a stream
+    that runs dry first is added exactly, each cube enumerated,
+    degree-tested and added once.  Like every computation here it runs in
+    the calling process; `threads` is accepted for the callers that pass
+    it and ignored.
 
     A budget stop re-raises BudgetExhausted with the phase, the rank
     reached against the cycle rank and the candidates pulled.
@@ -458,10 +460,13 @@ def quotient_homology(g, k, n, threads=1):
         below_index = {cube: i for i, cube in enumerate(below)}
         here = _slice_basis(g, k, n)
         here_index = {cube: i for i, cube in enumerate(here)}
-        out_rank = Echelon(len(below))
-        for faces in face_positions(here, n, below_index):  # none at n = 0
+        out_rank, rest = Echelon(len(below)), set(range(len(here)))
+        for i, faces in enumerate(face_positions(here, n, below_index)):
+            rank = out_rank.rank  # no faces at n = 0: every cube stays
             out_rank.add(merge(zip(faces, face_signs(n))))
-        progress.cycle_rank = len(here) - out_rank.rank
+            if out_rank.rank > rank:
+                rest.remove(i)
+        progress.cycle_rank = len(rest)
 
         # one cube at a time, a list costs less than face_positions' maps
         getters, signs = face_getters(n + 1), face_signs(n + 1)
@@ -489,7 +494,6 @@ def quotient_homology(g, k, n, threads=1):
                 for cube in singular_cubes(g, n + 1, "nondegenerate",
                                            prefix=front))
 
-        return _image_quotient(len(here), progress.cycle_rank, columns(),
-                               progress)
+        return _image_quotient(len(here), rest, columns(), progress)
     except BudgetExhausted as e:
         raise BudgetExhausted(f"slice homology stopped {progress}") from e

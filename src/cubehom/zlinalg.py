@@ -24,8 +24,8 @@ vectors themselves.  The kernel is small: `axpy` updates a sparse vector,
 lattice modulo a sublattice, `lattice_torsion` reads the torsion of a
 quotient of Z^n from the echelon rows whose pivot is not +-1, through the
 transform-free `smith_normal_form`, and `GF2Echelon.add` tracks a rank
-modulo 2.  `gf2_pick` picks the rows that raise that rank and `replay`
-adds them exactly; `echelon_from_rows` then reads its rows again and adds
+modulo 2.  `echelon_from_rows` keeps the rows that raise that rank,
+adds them exactly (`replay`), then reads its rows again and adds
 one exactly only when `_certificate` cannot prove it redundant by one
 exact remainder, packed: small ints side by side in one Python int, in
 lanes too wide to carry into each other.  Each of its passes reduces a
@@ -281,22 +281,6 @@ class GF2Echelon:
             holders[k] = holders.get(k, 0) ^ hit ^ low
             others ^= bit
         return True
-
-
-def gf2_pick(rows, gf2, rank=None):
-    """Split the iterator `rows` of sparse vectors, in one pass, into the
-    ones that raise the rank of `gf2` modulo 2 and the rest: returns
-    (picked, rejected).  The pass stops before pulling another row once
-    that rank reaches `rank`, so the caller can go on with `rows`."""
-    picked, rejected = [], []
-    while gf2.rank != rank:
-        r = next(rows, None)
-        if r is None:
-            break
-        if not (len(picked) + len(rejected)) & 63:
-            checkpoint()
-        (picked if gf2.add(r.items()) else rejected).append(r)
-    return picked, rejected
 
 
 def replay(ech, rows):

@@ -39,8 +39,6 @@ from cubehom.spectral import (
 )
 from cubehom.zlinalg import (
     ContractViolation,
-    Echelon,
-    GF2Echelon,
     GroupMap,
     axpy,
     echelon_from_rows,
@@ -572,18 +570,18 @@ def test_quotient_homology_matches_page(sphere4):
 
 
 def test_full_stream_hands_over_every_column_once(monkeypatch, sphere4):
-    # E1[2,0] of greene-sphere(4) is Z^8, so the image never saturates and
-    # the column iterator runs dry: it must yield each degree-2 3-cube's
+    # E1[2,0] of greene-sphere(4) is Z^8, so no column pairs and the
+    # column iterator runs dry: it must yield each degree-2 3-cube's
     # boundary on the degree-2 squares once, whatever the stream order
     c, g, seen = sphere4, greene_sphere(4), {}
     image_quotient = spectral._image_quotient
 
-    def record(ncols, cycle_rank, columns, progress):
+    def record(ncols, rest, columns, progress):
         # copies: the exact pass consumes the columns it adds
         columns = list(columns)
         seen["columns"] = [dict(col) for col in columns]
         seen["progress"] = progress
-        return image_quotient(ncols, cycle_rank, iter(columns), progress)
+        return image_quotient(ncols, rest, iter(columns), progress)
 
     monkeypatch.setattr(spectral, "_image_quotient", record)
     assert quotient_homology(g, 2, 2).invariants() == (8, ())
@@ -599,6 +597,7 @@ def test_full_stream_hands_over_every_column_once(monkeypatch, sphere4):
     assert streamed == expected
     assert len(seen["columns"]) == sum(expected.values()) == 7488
     assert seen["progress"].pulled == len(c.basis[3]) == 21552
+    assert seen["progress"].pairs == 0
 
 
 @pytest.mark.parametrize("name", ["c5", "k23", "sphere4"])
@@ -621,75 +620,106 @@ def test_pinned_cofaces_lead_each_front_stream(name):
     assert pinned_total > 0
 
 
-def test_e11_of_a_greene_sphere_saturates_in_the_first_round(monkeypatch):
-    # one pinned coface per slice front (304 columns) reaches the cycle
-    # rank modulo 2 on each of these labelings, which pulls 330-337
-    # cubes; the plain lexicographic order pulled 1,338-2,249
-    seen = {}
-    image_quotient = spectral._image_quotient
+def _record_progress(monkeypatch):
+    """Spy on `_image_quotient`: the returned dict holds the `_Progress` of
+    the last call."""
+    seen, image_quotient = {}, spectral._image_quotient
 
-    def record(ncols, cycle_rank, columns, progress):
+    def record(ncols, rest, columns, progress):
         seen["progress"] = progress
-        return image_quotient(ncols, cycle_rank, columns, progress)
+        return image_quotient(ncols, rest, columns, progress)
 
     monkeypatch.setattr(spectral, "_image_quotient", record)
+    return seen
+
+
+def test_e11_of_a_greene_sphere_saturates_in_the_first_round(monkeypatch):
+    # the pairing completes a little after the first round, one pinned
+    # coface per slice front (304 columns), on each of these labelings,
+    # which pulls 330-337 cubes; a GF(2) pick on the plain lexicographic
+    # order pulled 1,338-2,249
+    seen = _record_progress(monkeypatch)
     for seed in range(4):
         assert quotient_homology(_relabeled(greene_sphere(4), seed),
                                  1, 2).is_trivial
         assert seen["progress"].pulled <= 350, seed
 
 
-def _hand_built(columns, ncols, cycle_rank):
-    """`_image_quotient` on literal columns, in the order given."""
-    return _image_quotient(ncols, cycle_rank, iter(columns),
+def test_pairing_settles_a_slice_whose_replay_kept_a_non_unit_pivot(
+        monkeypatch):
+    # found by search: on this graph a GF(2) pick reached the cycle rank
+    # of E1[1,1], its exact replay kept a non-unit pivot, and an exact
+    # pass settled the slice after 549 cubes; the pairing needs 358
+    seen = _record_progress(monkeypatch)
+    g = Graph(5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    assert quotient_homology(g, 1, 2).is_trivial
+    progress = seen["progress"]
+    assert progress.phase == "pairing" and progress.echelon is None
+    assert progress.pairs == progress.cycle_rank > 0
+    assert progress.pulled == 358
+    assert e1_page(normalized_complex(g, 3), 2).entry(1, 1).is_trivial
+
+
+@pytest.mark.parametrize("g, k, n", [(greene_sphere(4), 2, 0),
+                                     (Graph(2, [(0, 1)]), 2, 2)])
+def test_a_slice_of_cycle_rank_zero_pulls_no_cube(monkeypatch, g, k, n):
+    seen = _record_progress(monkeypatch)
+    assert quotient_homology(g, k, n).is_trivial
+    assert seen["progress"].cycle_rank == 0
+    assert seen["progress"].pulled == 0
+
+
+@pytest.mark.parametrize("name", ["petersen", "q3"])
+def test_heavy_slices_at_1_3_pair_completely(monkeypatch, name):
+    # both settle with no exact add after the slice bases; an exact pass
+    # over their columns, after a replay with a non-unit pivot, took
+    # about 14 s and 9 s
+    seen = _record_progress(monkeypatch)
+    g = {"petersen": petersen, "q3": lambda: hypercube_graph(3)}[name]()
+    assert quotient_homology(g, 1, 3).is_trivial
+    progress = seen["progress"]
+    assert progress.phase == "pairing"
+    assert progress.pairs == progress.cycle_rank > 0
+
+
+def _hand_built(columns, ncols, rest):
+    """`_image_quotient` on literal columns, in the order given, with the
+    rows `rest` to pair."""
+    return _image_quotient(ncols, set(rest), iter(columns),
                            _Progress()).invariants()
 
 
 def test_image_quotient_full_gf2_rank_with_a_non_unit_pivot():
     # 3 e_0 reaches the cycle rank modulo 2 but spans an index-3
-    # sublattice: the replay must not read that as H = 0
-    assert _hand_built([{0: 3}], 1, 1) == (0, (3,))
+    # sublattice: a lone entry other than +-1 does not pair
+    assert _hand_built([{0: 3}], 1, {0}) == (0, (3,))
     # the exact pass then finds the column that saturates it
-    assert _hand_built([{0: 3}, {0: 2}], 1, 1) == (0, ())
-    assert _hand_built([{0: 1, 1: 2}, {0: 1, 1: -1}, {1: 3}], 2, 2) \
+    assert _hand_built([{0: 3}, {0: 2}], 1, {0}) == (0, ())
+    assert _hand_built([{0: 1, 1: 2}, {0: 1, 1: -1}, {1: 3}], 2, {0, 1}) \
         == (0, (3,))
 
 
-def test_replay_with_a_non_unit_pivot_on_a_small_graph(monkeypatch):
-    # found by search (no labeling of the paths on 4 or 5 vertices does it
-    # under the pinned-first stream): on this graph the GF(2) filter
-    # reaches the cycle rank of E1[1,1], the exact replay keeps a non-unit
-    # pivot, and the exact pass then saturates the image
-    checks, gf2_rank = [], [0]
-    unit, add = Echelon.has_unit_pivots, GF2Echelon.add
-
-    def has_unit_pivots(ech):
-        checks.append((ech.rank, unit(ech)))
-        return checks[-1][1]
-
-    def gf2_add(ech, vec):
-        rose = add(ech, vec)
-        gf2_rank[0] = ech.rank
-        return rose
-
-    monkeypatch.setattr(Echelon, "has_unit_pivots", has_unit_pivots)
-    monkeypatch.setattr(GF2Echelon, "add", gf2_add)
-    g = Graph(5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-    assert quotient_homology(g, 1, 2).is_trivial
-    # the first saturation check is the replay's, at the GF(2) rank
-    assert checks[0] == (gf2_rank[0], False)
-    assert e1_page(normalized_complex(g, 3), 2).entry(1, 1).is_trivial
-
-
 def test_image_quotient_streams_dry_below_the_cycle_rank():
-    # 2 e_0 is 0 modulo 2; the exact pass sees it and the torsion
-    assert _hand_built([{0: 2}, {1: 1}], 2, 2) == (0, (2,))
-    assert _hand_built([{1: 1}], 2, 2) == (1, ())
+    # a lone 2 e_0 does not pair; the exact pass sees it and the torsion
+    assert _hand_built([{0: 2}, {1: 1}], 2, {0, 1}) == (0, (2,))
+    assert _hand_built([{1: 1}], 2, {0, 1}) == (1, ())
 
 
 def test_image_quotient_rejects_columns_outside_the_cycles():
     with pytest.raises(ContractViolation, match="outranks"):
-        _hand_built([{0: 2}, {1: 2}], 2, 1)
+        _hand_built([{0: 2}, {1: 2}], 2, {0})
+
+
+def test_image_quotient_pairs_a_waiting_column_once():
+    # the first column waits on rows 0, 1 and 2; it is retried when row 0
+    # and when row 1 is paired, pairs with row 2 after the second, and is
+    # retried once more, with no row left, when row 2 leaves
+    progress = _Progress()
+    columns = [{0: 1, 1: 1, 2: -1}, {0: 1}, {1: -1}, {2: 1}]
+    h = _image_quotient(4, {0, 1, 2, 3}, iter(columns), progress)
+    assert h.invariants() == (1, ())
+    assert progress.pairs == 3
+    assert progress.phase == "exact pass" and progress.echelon.rank == 3
 
 
 def _stop_at_call(monkeypatch, k):
@@ -713,7 +743,9 @@ def test_budget_stop_reports_the_phase_and_the_ranks(monkeypatch, sphere4):
     total = _stop_at_call(monkeypatch, 0)
     assert quotient_homology(g, 2, 2).invariants() == (8, ())
     phases = set()
-    for k in range(1, total[0] + 1, total[0] // 12):
+    # the pairing reads the clock only in the coface walks, about 500 of
+    # some 8,000 reads, so the stops come at 1/24 steps
+    for k in range(1, total[0] + 1, total[0] // 24):
         _stop_at_call(monkeypatch, k)
         with pytest.raises(BudgetExhausted) as info:
             quotient_homology(g, 2, 2)
@@ -728,7 +760,7 @@ def test_budget_stop_reports_the_phase_and_the_ranks(monkeypatch, sphere4):
                 r"candidates$", msg).groups())
             assert cycles == cycle_rank and rank <= cycle_rank
             assert 0 < pulled <= 21552
-    assert phases == {"slice bases", "GF(2) filter", "exact pass"}
+    assert phases == {"slice bases", "pairing", "exact pass"}
 
 
 def test_classification_matches_presentation_route_on_sphere(sphere4):

@@ -19,7 +19,6 @@ from cubehom.zlinalg import (
     axpy,
     cokernel_of,
     echelon_from_rows,
-    gf2_pick,
     homology_at,
     image_of,
     is_surjective,
@@ -855,11 +854,6 @@ def test_row_loops_read_the_clock_on_their_first_row(monkeypatch, gs4):
                 echelon_from_rows(_counting_source(rows, pulled, signs),
                                   gs4.dim(2))
             assert pulled == [1]
-            if signs is None:
-                pulled = []
-                with pytest.raises(BudgetExhausted):
-                    gf2_pick(_counting_source(rows, pulled)(), GF2Echelon())
-                assert pulled == [1]
         finally:
             clear_time_budget()
         # and in pass 2: the clock runs out once the second read begins
@@ -881,8 +875,8 @@ def test_row_loops_read_the_clock_every_64_rows(monkeypatch, gs4):
     # the second clock read in a pass comes with its 65th row: in
     # echelon_from_rows' first pass, which adds nothing exactly, in its
     # second, which adds nothing exactly on this boundary (the replay's
-    # adds come between the two), and in gf2_pick; each clock read is
-    # tagged with the number of reads of the source begun before it
+    # adds come between the two); each clock read is tagged with the
+    # number of reads of the source begun before it
     clock, pulled = [], []
 
     def stop_on_second():
@@ -900,24 +894,15 @@ def test_row_loops_read_the_clock_every_64_rows(monkeypatch, gs4):
                 echelon_from_rows(_counting_source(rows, pulled, signs),
                                   gs4.dim(2))
             assert pulled == [len(rows)] * (stop_in - 1) + [65]
-    clock.clear()
-    pulled.clear()
-    stop_in = 1
-    with pytest.raises(BudgetExhausted):
-        gf2_pick(_counting_source(dicts, pulled)(), GF2Echelon())
-    assert pulled == [65]
 
 
 def test_row_loops_under_a_distant_deadline_are_unchanged(gs4):
     rows, ncols = gs4.columns[3], gs4.dim(2)
     want = echelon_from_rows(rows, ncols)
-    rank = want.rank
-    picks = gf2_pick(iter(rows), GF2Echelon(), rank)
     set_time_budget(3600)
     try:
         got = echelon_from_rows(rows, ncols)
         assert (got.rows, got.pivots) == (want.rows, want.pivots)
-        assert gf2_pick(iter(rows), GF2Echelon(), rank) == picks
     finally:
         clear_time_budget()
 
