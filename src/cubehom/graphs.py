@@ -102,13 +102,12 @@ def parse_edge_list(text):
             raise EdgeListError(line_no, "vertex ids must be non-negative")
         if u == v:
             raise EdgeListError(line_no, f"self-loop at vertex {u}")
+        if vertex_count is not None and max(u, v) >= vertex_count:
+            raise EdgeListError(line_no, f"edge mentions vertex {max(u, v)} "
+                                f"but header pins vertex count to {vertex_count}")
         edges.append((u, v))
         max_seen = max(max_seen, u, v)
-    n = max_seen + 1 if vertex_count is None else vertex_count
-    if max_seen >= n:
-        raise EdgeListError(first, f"edge mentions vertex {max_seen} but "
-                                   f"header pins vertex count to {n}")
-    return Graph(n, edges)
+    return Graph(max_seen + 1 if vertex_count is None else vertex_count, edges)
 
 
 def format_edge_list(g):

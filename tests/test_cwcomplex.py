@@ -5,7 +5,9 @@ import random
 import pytest
 
 from cube_group import det, signed_permutations
-from cubehom.chains import normalized_complex
+from cubehom import cwcomplex
+from cubehom.budget import DimensionBudgetError
+from cubehom.chains import block, normalized_complex
 from cubehom.cwcomplex import (
     build_cw_complex,
     cell_to_degree_class,
@@ -15,12 +17,13 @@ from cubehom.cwcomplex import (
     geometric_class_check,
 )
 from cubehom.graphs import (
+    Graph,
     complete_bipartite_graph,
     cycle_graph,
     greene_sphere,
     hypercube_graph,
 )
-from cubehom.zlinalg import Echelon
+from cubehom.zlinalg import Echelon, subquotient_homology
 
 
 def boundary_squared_is_zero(c):
@@ -93,6 +96,99 @@ def test_cw_homology_spheres():
         assert cw_homology(c, 0).invariants() == (1, ())
         assert cw_homology(c, 1).is_trivial
         assert cw_homology(c, 2).invariants() == (1, ())
+
+
+def _complete(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+# cellular H_0, H_1, H_2 of graphs with torsion or several components
+KNOWN_GROUPS = [
+    ("K4", _complete(4), [(1, ()), (0, (2,)), (0, ())]),
+    ("K44", complete_bipartite_graph(4, 4), [(1, ()), (0, ()), (9, (2,) * 5)]),
+    ("C5+K4+K1", Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(u + 5, v + 5) for u in range(4)
+                          for v in range(u + 1, 4)]),
+     [(3, ()), (1, (2,)), (0, ())]),
+]
+
+
+@pytest.mark.parametrize("name,graph,groups", KNOWN_GROUPS)
+def test_cw_homology_known_groups(name, graph, groups):
+    c = build_cw_complex(graph, 3)
+    assert [cw_homology(c, n).invariants() for n in range(3)] == groups
+
+
+def _differential_inputs():
+    """The graphs above, the empty graph and a point, then seeded random
+    ones: edge subsets of Q5 and graphs on at most 8 vertices."""
+    yield from ((name, g) for name, g, _ in KNOWN_GROUPS)
+    yield "Graph(0)", Graph(0)
+    yield "Graph(1)", Graph(1)
+    rng = random.Random(31)
+    q5 = hypercube_graph(5).edges()
+    for t in range(60):
+        p = rng.random()
+        yield f"Q5 subset {t}", Graph(32, [e for e in q5 if rng.random() < p])
+    for t in range(100):
+        n, p = rng.randint(1, 8), rng.random()
+        yield f"random {t}", Graph(n, [(u, v) for u in range(n)
+                                       for v in range(u + 1, n)
+                                       if rng.random() < p])
+
+
+def test_cw_homology_matches_the_uncoreduced_route():
+    # the reference reads the whole cellular complex, with no coreduction
+    torsion = 0
+    for name, g in _differential_inputs():
+        c = build_cw_complex(g, 3)
+        for n in range(c.max_dim):
+            got = cw_homology(c, n).invariants()
+            assert got == subquotient_homology(block(c, n + 1),
+                                               block(c, n)).invariants(), \
+                (name, n)
+            torsion += bool(got[1])
+    assert torsion >= 10
+
+
+def _residual_dims(monkeypatch, c, n):
+    """(n+1-cells, n-cells, (n-1)-cells) that reach the exact route."""
+    seen = []
+
+    def spy(d_in, d_out):
+        seen.append((d_in[2], d_in[1], d_out[1]))
+        return subquotient_homology(d_in, d_out)
+    monkeypatch.setattr(cwcomplex, "subquotient_homology", spy)
+    cw_homology(c, n)
+    return seen.pop()
+
+
+def test_coreduction_leaves_q7_only_its_3_cells(monkeypatch):
+    c = build_cw_complex(hypercube_graph(7), 3)
+    top, squares, edges = _residual_dims(monkeypatch, c, 2)
+    assert (squares, edges) == (0, 0) and 0 < top < c.dim(3)
+
+
+def test_coreduction_leaves_the_sphere_one_square(monkeypatch):
+    c = build_cw_complex(greene_sphere(60), 3)
+    _, squares, _ = _residual_dims(monkeypatch, c, 2)
+    assert squares <= 1 < c.dim(2)
+    assert cw_homology(c, 2).invariants() == (1, ())
+
+
+def test_coreduction_reads_the_clock(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cwcomplex, "checkpoint", lambda: calls.append(1))
+    cw_homology(build_cw_complex(hypercube_graph(7), 3), 2)
+    assert calls
+
+
+def test_cw_homology_guards():
+    c = build_cw_complex(hypercube_graph(3), 3)
+    with pytest.raises(DimensionBudgetError):
+        cw_homology(c, c.max_dim)
+    with pytest.raises(ValueError, match="non-negative"):
+        cw_homology(c, -1)
 
 
 def test_cw_homology_k23_sphere():

@@ -51,8 +51,13 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(EdgeListError) as e:
         parse_edge_list("0 1\n2 2\n")
     assert "self-loop" in str(e.value)
-    with pytest.raises(EdgeListError):
+    with pytest.raises(EdgeListError) as e:
         parse_edge_list("# vertices 2\n0 5\n")
+    assert e.value.line_no == 2
+    # the line of the first edge past the pinned count, not the header's
+    with pytest.raises(EdgeListError, match="vertex 5 but") as e:
+        parse_edge_list("# vertices 3\n0 1\n0 5\n")
+    assert e.value.line_no == 3
 
 
 def test_header_after_a_blank_line_pins_the_vertex_count():
