@@ -156,34 +156,39 @@ def normalized_complex(g, max_dim):
 
 def block(c, n, cols=None, rows=None):
     """(source, nrows, ncols) of d_n on the n-cubes at the increasing
-    positions `cols`, each column restricted while it is read to the
-    (n-1)-cubes at the increasing positions `rows` and keyed by its
-    position there; None selects every cube, and d_0 is the zero map.  The
-    source is one `zlinalg.echelon_from_rows` takes.  On a `BasedComplex`
-    it is a `zlinalg.SignedRows` of the stored face positions, the
-    restriction mapping each through one position list (-1 off `rows`);
-    a `cwcomplex.CwCubeComplex` hands out its dict columns whole."""
+    positions `cols`, each column restricted to the (n-1)-cubes at the
+    increasing positions `rows` and keyed by its position there, through
+    one position list (-1 off `rows`); None selects every cube, and d_0 is
+    the zero map.  The source is one `zlinalg.echelon_from_rows` takes: on
+    a `BasedComplex` a `zlinalg.SignedRows` of the stored face positions,
+    restricted while it is read; on a `cwcomplex.CwCubeComplex` a list of
+    dict columns, the stored one when nothing is restricted."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     c.require(n, f"the boundary of dimension {n}")
     ncols = c.dim(n) if cols is None else len(cols)
     if n == 0:
         return [{}] * ncols, 0, ncols
+    nrows = c.dim(n - 1) if rows is None else len(rows)
     stored = c.columns[n]
-    if not isinstance(stored, Packed):
-        return stored, c.dim(n - 1), ncols
     if rows is not None:
         # slot -1, the last, takes the faces off the rows and -1 itself
         remap = [-1] * (c.dim(n - 1) + 1)
         for new, old in enumerate(rows):
             remap[old] = new
+    if not isinstance(stored, Packed):
+        if cols is not None:
+            stored = list(map(stored.__getitem__, cols))
+        if rows is not None:
+            stored = [merge(zip(map(remap.__getitem__, col), col.values()))
+                      for col in stored]
+        return stored, nrows, ncols
 
     def read():
         flat = stored.flat(cols)
         if rows is not None:
             flat = map(remap.__getitem__, flat)
         return zip(*[flat] * stored.width)
-    nrows = c.dim(n - 1) if rows is None else len(rows)
     return SignedRows(read, stored.signs), nrows, ncols
 
 

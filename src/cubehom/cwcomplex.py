@@ -7,18 +7,17 @@ face of a cell's parametrization is injective, so
 incidence sign: the determinant of the signed permutation carrying the
 face onto the cell's parametrization.
 
-Cellular homology coreduces first (Mrozek & Batko): every incidence is
-+-1, so most cells leave in unit-pivot pairs before the exact route.
+Cellular homology coreduces first (`zlinalg.coreduce`): every incidence
+is +-1, so most cells leave in unit-pivot pairs before the exact route.
 
 The chain map sending a cell to the class of its canonical
 parametrization in the top slice homology compares cellular homology
 with the degree-filtration world.
 """
 
-from collections import deque
-from itertools import islice
+from itertools import chain, islice
 
-from .budget import DimensionBudgetError, checkpoint
+from .budget import DimensionBudgetError
 from .chains import block, face_signs, normalized_complex
 from .cubes import canonical_parametrization, face_getters, subgraph_levels
 from .monophobic import is_quasimonophobic
@@ -29,6 +28,7 @@ from .zlinalg import (
     GroupMap,
     apply_columns,
     axpy,
+    coreduce,
     echelon_from_rows,
     image_lattice,
     is_surjective,
@@ -121,58 +121,26 @@ def cw_to_json(c):
 def cw_homology(c, n):
     """Cellular homology in degree n; needs cells through n+1.
 
-    A coreduction pass over dimensions 0..n+1 comes first: each vertex
-    still live, in index order, leaves as a seed, and a FIFO queue drains,
-    in which a cell with one live face, of coefficient +-1, leaves with
-    that face.  A pair is Gaussian elimination on a unit pivot whose
-    correction term vanishes on the live cells.  A vertex stays live only
-    while all its edges do, so a drain removes its seed's component's
-    vertices: one seed per component, H_n(S) = H_n(S, seeds) for n >= 1,
-    and H_0 gains Z^seeds."""
+    For d = 1..n+1, `zlinalg.coreduce` pairs the d-cells, in index order,
+    with the live (d-1)-cells, and `block` hands the cells left to the
+    exact route.  At d = 1 a unit seed {v: 1} follows the edges for each
+    vertex still live and drains its component: one seed per component,
+    H_n(S) = H_n(S, seeds) for n >= 1, and H_0 gains Z^seeds."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     c.require(n + 1, f"the boundary of dimension {n + 1}")
-    top, cols = n + 1, c.columns
-    live = [bytearray(b"\1") * c.dim(d) for d in range(top + 1)]
-    count = [[len(col) for col in cols[d]] for d in range(top + 1)]
-    cofaces = [[[] for _ in range(c.dim(d))] for d in range(top + 1)]
-    for d in range(1, top + 1):
-        for j, col in enumerate(cols[d]):
-            for i in col:
-                cofaces[d - 1][i].append(j)
-    queue = deque()
-
-    def remove(d, j):
-        live[d][j] = 0
-        for k in cofaces[d][j]:
-            count[d + 1][k] -= 1
-            if count[d + 1][k] == 1 and live[d + 1][k]:
-                queue.append((d + 1, k))
-
-    seeds = pops = 0
-    for v in range(c.dim(0)):
-        if live[0][v]:
-            seeds += 1
-            remove(0, v)
-        while queue:
-            pops += 1
-            if not pops & 63:
-                checkpoint()
-            d, j = queue.popleft()
-            if live[d][j] and count[d][j] == 1:
-                face = next(i for i in cols[d][j] if live[d - 1][i])
-                if cols[d][j][face] in (1, -1):
-                    remove(d, j)
-                    remove(d - 1, face)
-
-    def residual(d):
-        # no vertex is live after the pass, so d = 0 keeps no column
-        keep = [j for j in range(c.dim(d)) if live[d][j]]
-        rows = {i: r for r, i in enumerate(
-            i for i in range(c.dim(d - 1)) if live[d - 1][i])}
-        return ([{rows[i]: x for i, x in cols[d][j].items() if i in rows}
-                 for j in keep], len(rows), len(keep))
-    h = subquotient_homology(residual(n + 1), residual(n))
+    keep, rest, seeds = [], set(range(c.dim(0))), 0
+    for d in range(1, n + 2):
+        # at d = 1, after the edges, a seed for each vertex still live
+        units = ((None, {v: 1}) for v in range(c.dim(0)) if v in rest)
+        paired = list(coreduce(chain(enumerate(c.columns[d]),
+                                     units if d == 1 else ()), rest))
+        seeds += paired.count(None)
+        keep.append(sorted(rest))
+        rest = set(range(c.dim(d))).difference(paired)
+    keep.append(sorted(rest))
+    h = subquotient_homology(block(c, n + 1, keep[n + 1], keep[n]),
+                             block(c, n, keep[n], keep[n - 1] if n else None))
     return h if n else AbelianGroup.from_invariants(h.free_rank + seeds,
                                                     h.torsion)
 

@@ -35,6 +35,7 @@ from .zlinalg import (
     Echelon,
     GroupMap,
     apply_columns,
+    coreduce,
     echelon_from_rows,
     homology_at,
     kernel_echelon,
@@ -385,34 +386,24 @@ def _image_quotient(ncols, rest, columns, progress):
     The cycles are a saturated sublattice Z of Z^ncols containing every
     column of the iterator `columns`, and `rest`, a set of coordinates
     that it consumes, has |rest| = rank Z and the projection of Z onto it
-    is injective.  A column whose entries on `rest` are one +-1 pairs with
-    that row, which leaves `rest` and retries the columns waiting on it.
-    The paired columns are unit-triangular on their rows, so once `rest`
-    is empty they project onto all of Z^(its rows), which holds the
-    projection of Z; by injectivity they span Z and the group is 0
-    (coreduction, Mrozek & Batko, Discrete Comput. Geom. 41, 2009).  With
+    is injective.  `zlinalg.coreduce` pairs the columns with the rows of
+    `rest`.  The paired columns are unit-triangular on their rows, so once
+    `rest` is empty they project onto all of Z^(its rows), which holds the
+    projection of Z; by injectivity they span Z and the group is 0.  With
     `rest` empty no column is pulled.  If the columns run dry first, every
     pulled one is added exactly once and the group read off the echelon.
     """
-    cycle_rank, pulled, waiting = len(rest), [], {}
+    cycle_rank, pulled = len(rest), []
     progress.phase = "pairing"
     if not rest:
         return AbelianGroup.trivial()
-    for col in columns:
-        pulled.append(col)
-        rows = [i for i in col if i in rest]
-        if len(rows) > 1:  # it waits until one row is left
-            for i in rows:
-                waiting.setdefault(i, []).append(col)
-            continue
-        todo = [col]
-        while todo:
-            c = todo.pop()
-            rows = [i for i in c if i in rest]
-            if len(rows) == 1 and c[rows[0]] in (1, -1):
-                rest.remove(rows[0])
-                progress.pairs += 1
-                todo += waiting.pop(rows[0], ())
+
+    def keyed():
+        for col in columns:
+            pulled.append(col)
+            yield None, col
+    for _ in coreduce(keyed(), rest):
+        progress.pairs += 1
         if not rest:
             return AbelianGroup.trivial()
     progress.phase = "exact pass"

@@ -23,8 +23,10 @@ vectors themselves.  The kernel is small: `axpy` updates a sparse vector,
 `split_echelon` splits a stacked lattice, `quotient_in` presents one
 lattice modulo a sublattice, `lattice_torsion` reads the torsion of a
 quotient of Z^n from the echelon rows whose pivot is not +-1, through the
-transform-free `smith_normal_form`, and `GF2Echelon.add` tracks a rank
-modulo 2.  `echelon_from_rows` keeps the rows that raise that rank,
+transform-free `smith_normal_form`, `GF2Echelon.add` tracks a rank
+modulo 2, and `coreduce` pairs columns with rows on unit entries, with
+no arithmetic, for the slice stream and the cellular complex alike.
+`echelon_from_rows` keeps the rows that raise the rank modulo 2,
 adds them exactly (`replay`), then reads its rows again and adds
 one exactly only when `_certificate` cannot prove it redundant by one
 exact remainder, packed: small ints side by side in one Python int, in
@@ -40,6 +42,7 @@ whole integer kernel of d_out.
 """
 
 from bisect import bisect_left
+from collections import deque
 from collections.abc import Sequence
 from itertools import repeat
 from operator import getitem
@@ -415,6 +418,39 @@ def _certificate(ech, norm):
         table[j] = -row[j] * sum(v << width * lane[i]
                                  for i, v in row.items() if i in lane)
     return table
+
+
+def coreduce(columns, rest):
+    """Pair sparse columns with rows on unit entries, yielding each paired
+    key (coreduction, Mrozek & Batko, Discrete Comput. Geom. 41, 2009).
+
+    `columns` yields (key, column) pairs; `rest`, a set of rows, is
+    consumed.  A column whose entries on `rest` are one +-1 pairs with
+    that row, which leaves `rest`.  A column with more entries there waits
+    on each, counting those left, and is retried once one is left, the
+    retries queued first in, first out (a stack strands whole dimensions
+    of relabeled hypercubes' cells).  A pair is elimination on a unit
+    pivot with no correction term on the rows left.  The clock is read
+    once per 64 columns, and a caller that stops taking keys stops them."""
+    waiting, queue = {}, deque()
+    for pulled, (key, col) in enumerate(columns, 1):
+        if not pulled & 63:
+            checkpoint()
+        queue.append([0, key, col])  # [rows left, key, column]
+        while queue:
+            entry = queue.popleft()
+            rows = rest.intersection(entry[2])
+            if len(rows) > 1:  # only a column just pulled: it waits
+                entry[0] = len(rows)
+                for i in rows:
+                    waiting.setdefault(i, []).append(entry)
+            elif rows and entry[2][(i := rows.pop())] in (1, -1):
+                rest.remove(i)
+                yield entry[1]
+                for other in waiting.pop(i, ()):
+                    other[0] -= 1
+                    if other[0] == 1:
+                        queue.append(other)
 
 
 def split_echelon(columns, top, bottom):

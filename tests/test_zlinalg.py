@@ -18,6 +18,7 @@ from cubehom.zlinalg import (
     apply_columns,
     axpy,
     cokernel_of,
+    coreduce,
     echelon_from_rows,
     homology_at,
     image_of,
@@ -960,3 +961,58 @@ def test_composable_check_lane_width():
     # entry 4 of d_out and must widen, or 4 - 1 * 2^2 would read 0
     with pytest.raises(ContractViolation):
         subquotient_homology(([{0: 1}], 1, 1), ([{0: 4, 1: -1}], 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# coreduction
+# ---------------------------------------------------------------------------
+
+def test_coreduce_retries_a_waiting_column_as_its_rows_leave():
+    # "w" waits on rows 0, 1 and 2; it pairs with 2 once 0 and 1 have left
+    rest = {0, 1, 2, 3}
+    cols = [("w", {0: 1, 1: -1, 2: 1}), ("a", {0: 1}), ("b", {1: -1, 3: 1})]
+    assert list(coreduce(cols, rest)) == ["a"]
+    assert rest == {1, 2, 3}
+    rest = {0, 1, 2, 3}
+    assert list(coreduce(cols + [("c", {3: 1})], rest)) == ["a", "c", "b",
+                                                             "w"]
+    assert rest == set()
+
+
+def test_coreduce_never_pairs_a_non_unit_entry():
+    rest = {0, 1}
+    # "x" is left with row 0 at entry 2 once "y" pairs row 1
+    cols = [("x", {0: 2, 1: 1}), ("z", {0: -2}), ("y", {1: 1, 5: 3})]
+    assert list(coreduce(cols, rest)) == ["y"]
+    assert rest == {0}
+
+
+def test_coreduce_yields_keys_in_pairing_order_first_in_first_out():
+    # "p" frees row 0, so "q" and "r" are retried in the order they came;
+    # "q" takes row 1 and leaves "s", which waits on it, behind "r"
+    rest = {0, 1, 2, 3}
+    cols = [("q", {0: 1, 1: 1}), ("r", {0: 1, 2: 1}), ("s", {1: 1, 3: 1}),
+            ("p", {0: 1})]
+    assert list(coreduce(cols, rest)) == ["p", "q", "r", "s"]
+    assert rest == set()
+
+
+def test_coreduce_pulls_no_column_once_the_caller_stops():
+    pulled = []
+
+    def columns():
+        for j in range(10):
+            pulled.append(j)
+            yield j, {j: 1}
+    pairs = coreduce(columns(), set(range(10)))
+    assert next(pairs) == 0 and next(pairs) == 1
+    pairs.close()
+    assert pulled == [0, 1]
+
+
+def test_coreduce_reads_the_clock_every_64_columns(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zlinalg, "checkpoint", lambda: calls.append(1))
+    rest = set(range(200))
+    assert len(list(coreduce(((j, {j: 1}) for j in range(200)), rest))) == 200
+    assert len(calls) == 3
